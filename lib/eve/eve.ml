@@ -535,7 +535,6 @@ let create net rpc cfg ~node ~paxos_store ~conflict_keys factory =
                | Some p -> Paxos.Replica.leader_hint p
                | None -> None);
            enqueue = (fun request cb -> Queue.push (request, cb) t.pending);
-           query = (fun request -> Some (t.app.R.App.query ~request));
          });
   t
 

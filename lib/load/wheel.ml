@@ -107,33 +107,32 @@ let pop_until t ~now f =
   done;
   !popped
 
-exception Found of float
-
 let bucket_min best b = List.iter (fun it -> if it.at < !best then best := it.at) b
 
+(* The minimum over every populated level: a higher level can hold an
+   un-cascaded timer due before everything in the levels below it. *)
 let next_due t =
   if t.n = 0 then None
-  else
-    try
-      for l = 0 to t.nlevels - 1 do
-        if t.counts.(l) > 0 then begin
-          let best = ref infinity in
-          if l = t.nlevels - 1 then
-            (* the top level may hold clamped far-future timers whose slot
-               order does not reflect time order: take the global min *)
-            Array.iter (bucket_min best) t.buckets.(l)
-          else begin
-            (* earliest non-empty bucket in circular order from the cursor
-               holds the level's earliest timers *)
-            let pos = t.cur / t.divs.(l) in
-            let i = ref 1 in
-            while !best = infinity && !i <= t.slots do
-              bucket_min best t.buckets.(l).((pos + !i) mod t.slots);
-              incr i
-            done
-          end;
-          raise (Found !best)
+  else begin
+    let best = ref infinity in
+    for l = 0 to t.nlevels - 1 do
+      if t.counts.(l) > 0 then
+        if l = t.nlevels - 1 then
+          (* the top level may hold clamped far-future timers whose slot
+             order does not reflect time order: take the global min *)
+          Array.iter (bucket_min best) t.buckets.(l)
+        else begin
+          (* earliest non-empty bucket in circular order from the cursor
+             holds the level's earliest timers *)
+          let lbest = ref infinity in
+          let pos = t.cur / t.divs.(l) in
+          let i = ref 1 in
+          while !lbest = infinity && !i <= t.slots do
+            bucket_min lbest t.buckets.(l).((pos + !i) mod t.slots);
+            incr i
+          done;
+          best := Float.min !best !lbest
         end
-      done;
-      None
-    with Found at -> Some at
+    done;
+    Some !best
+  end

@@ -21,15 +21,10 @@ type backend = {
           queue.  The callback must fire exactly once: [Some response]
           when the request's effect is durable (committed/verified), or
           [None] when a role change dropped it. *)
-  query : string -> string option;
-      (** Serve a read-only request, or [None] when this replica cannot
-          (not started / not leader, per stack policy).  Only used when
-          {!register} is given no {!reads} record (legacy unfenced
-          path). *)
 }
 
 (** The linearizable read fast path (leases + quorum reads), supplied by
-    stacks that support it.  The frontend picks the cheapest safe route
+    every stack.  The frontend picks the cheapest safe route
     per query: local under a live leader lease; otherwise a majority
     read-index round served locally once the executor catches up;
     otherwise the ordered path (enqueue on the leader, redirect
@@ -120,12 +115,12 @@ val register :
   node:int ->
   table:Session.Table.t ->
   ?admission:admission ->
-  ?reads:reads ->
+  reads:reads ->
   backend ->
   t
-(** Register the {!Client.client_port} and {!Client.query_port} services
-    on [node] — plus, when [reads] is given, the {!Client.read_port}
-    probe service and the fast-path query pipeline (obs counters under
+(** Register the {!Client.client_port}, {!Client.query_port} and
+    {!Client.read_port} (quorum-read probe) services on [node]; queries
+    take the [reads] pipeline (obs counters under
     subsystem [frontend]: [reads_fast_lease], [reads_fast_quorum],
     [reads_ordered_fallback], [quorum_read_rounds], …).  Intake pipeline
     for enveloped requests:

@@ -988,13 +988,25 @@ let create ?make_agreement net rpc cfg ~node ~paxos_store ~disk factory =
               if t.rebuilding || t.diverged <> None then cb None
               else begin
                 Obs.Metric.incr t.c_queries;
-                let resp = exec.app.App.query ~request in
-                if t.role_ = Primary then begin
-                  (* Speculative state: every write this read observed is
-                     in the recorded trace.  Release the answer only once
-                     that prefix commits, so a demotion that rolls the
-                     state back also drops the read (fencing). *)
-                  let cut = executed_cut t in
+                let resp, observed =
+                  Runtime.observing exec.rt (fun () ->
+                      exec.app.App.query ~request)
+                in
+                if not (current t exec) then
+                  (* demoted while the query ran: its state is rolled back *)
+                  cb None
+                else if t.role_ = Primary then begin
+                  (* Speculative state: release the answer only once the
+                     recorded prefix it observed commits, so a demotion
+                     that rolls the state back also drops the read
+                     (fencing).  That prefix is the causal cut behind the
+                     locks the query took; a query whose writers are not
+                     tracked waits for the whole recorded trace. *)
+                  let cut =
+                    match observed with
+                    | Some c -> c
+                    | None -> executed_cut t
+                  in
                   if Trace.Cut.leq cut t.committed_cut_ then cb (Some resp)
                   else t.pending_reads <- (cut, resp, cb) :: t.pending_reads
                 end
@@ -1013,13 +1025,6 @@ let create ?make_agreement net rpc cfg ~node ~paxos_store ~disk factory =
         (fun request cb ->
           Queue.push (request, Engine.clock eng, cb) t.queue;
           wake_queue t);
-      query =
-        (fun request ->
-          match t.exec with
-          | None -> None
-          | Some exec ->
-            Obs.Metric.incr t.c_queries;
-            Some (exec.app.App.query ~request));
     });
   Rpc.serve rpc ~node ~port:fetch_ckpt_port (fun ~src:_ _ ->
       match Checkpoint.Disk.latest t.disk with

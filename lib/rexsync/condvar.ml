@@ -32,7 +32,9 @@ let claim_wake_src t =
 
 let rec wait t (m : Lock.t) =
   match Runtime.effective_mode t.rt with
-  | Runtime.Native -> t.real.c_wait (Lock.real_mutex m)
+  | Runtime.Native ->
+    t.real.c_wait (Lock.real_mutex m);
+    Runtime.observe_opaque t.rt
   | Runtime.Record ->
     (* Going to sleep releases the mutex: log it as this condition's
        [Cond_wait] with the mutex's release bookkeeping. *)

@@ -91,7 +91,9 @@ let replay_note_release t (e : Event.t) =
 
 let rec lock t =
   match Runtime.effective_mode t.rt with
-  | Runtime.Native -> t.real.m_lock ()
+  | Runtime.Native ->
+    t.real.m_lock ();
+    Runtime.observe_acquire t.rt t.last_release []
   | Runtime.Record ->
     t.real.m_lock ();
     ignore
@@ -108,7 +110,10 @@ let rec lock t =
 
 let rec try_lock t =
   match Runtime.effective_mode t.rt with
-  | Runtime.Native -> t.real.m_try_lock ()
+  | Runtime.Native ->
+    let ok = t.real.m_try_lock () in
+    if ok then Runtime.observe_acquire t.rt t.last_release [];
+    ok
   | Runtime.Record ->
     if t.real.m_try_lock () then begin
       ignore

@@ -7,6 +7,11 @@ type mode = Record | Replay | Native
 
 type fiber_ctx = { slot : int; mutable native_depth : int }
 
+(* What one {!observing} scope has seen: the join of the vector clocks of
+   every tracked native acquisition ([None]: none yet), and whether it
+   took a primitive whose writers are not tracked. *)
+type observer = { mutable seen : Vclock.t option; mutable opaque : bool }
+
 type stats = {
   events_recorded : int;
   edges_recorded : int;
@@ -29,6 +34,8 @@ type t = {
   vcs : Vclock.t array;
   bound : (Engine.tid, fiber_ctx) Hashtbl.t;
   slot_owner : Engine.tid option array;
+  observers : (Engine.tid, observer) Hashtbl.t;  (* guarded *)
+  n_observers : int Atomic.t;  (* live scopes: the native path's one check *)
   resource_names : (int, string) Hashtbl.t;
   versioned : (int, (unit -> int) * (int -> unit)) Hashtbl.t;
   mutable global_res_counter : int;
@@ -86,6 +93,8 @@ let create ?(reduce_edges = true) ?(partial_order = true)
     vcs = Array.init slots (fun _ -> Vclock.create ~slots);
     bound = Hashtbl.create 32;
     slot_owner = Array.make slots None;
+    observers = Hashtbl.create 16;
+    n_observers = Atomic.make 0;
     resource_names = Hashtbl.create 64;
     versioned = Hashtbl.create 64;
     global_res_counter = 0;
@@ -198,6 +207,56 @@ let native_exec t f =
     c.native_depth <- c.native_depth + 1;
     Fun.protect ~finally:(fun () -> c.native_depth <- c.native_depth - 1) f
 
+(* --- Observed cuts (hybrid execution on the primary) ---
+
+   A native fiber reading speculative state must not release its answer
+   before the writes it saw commit.  In a race-free app those writes
+   precede the last release of every lock it took, so the join of those
+   releases' clocks bounds them.  Scopes nest through [Hashtbl.add]'s
+   shadowing; an inner scope's observations also count for the outer. *)
+
+let seen_clock t o =
+  match o.seen with
+  | Some vc -> vc
+  | None ->
+    let vc = Vclock.create ~slots:t.slots in
+    o.seen <- Some vc;
+    vc
+
+let observing t f =
+  match Engine.self_opt () with
+  | None -> (f (), None)
+  | Some tid ->
+    let o = { seen = None; opaque = false } in
+    guarded t (fun () -> Hashtbl.add t.observers tid o);
+    Atomic.incr t.n_observers;
+    let close () =
+      Atomic.decr t.n_observers;
+      guarded t (fun () ->
+          Hashtbl.remove t.observers tid;
+          match Hashtbl.find_opt t.observers tid with
+          | None -> ()
+          | Some outer ->
+            if o.opaque then outer.opaque <- true;
+            Option.iter (Vclock.join (seen_clock t outer)) o.seen)
+    in
+    let r = Fun.protect ~finally:close f in
+    let cut =
+      match o.seen with
+      | Some vc when not o.opaque ->
+        Some (Trace.Cut.of_array (vc :> int array))
+      | Some _ | None -> None
+    in
+    (r, cut)
+
+(* Callers check [n_observers] first, so a native acquisition outside
+   any scope pays one atomic read and allocates nothing. *)
+let with_observer t k =
+  match Engine.self_opt () with
+  | None -> ()
+  | Some tid ->
+    guarded t (fun () -> Option.iter k (Hashtbl.find_opt t.observers tid))
+
 let required_slot t =
   match current_slot t with
   | Some s -> s
@@ -252,6 +311,18 @@ let restore_versions t versions =
 type source = { sid : Event.Id.t; svc : Vclock.t }
 
 let source_id s = s.sid
+
+let observe_acquire t last extra =
+  if Atomic.get t.n_observers > 0 then
+    with_observer t (fun o ->
+        let vc = seen_clock t o in
+        let add s = Vclock.join vc s.svc in
+        Option.iter add last;
+        List.iter add extra)
+
+let observe_opaque t =
+  if Atomic.get t.n_observers > 0 then
+    with_observer t (fun o -> o.opaque <- true)
 
 let record t ~kind ~resource ?(version = 0) ?(payload = "") srcs =
   let slot = required_slot t in

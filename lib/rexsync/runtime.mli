@@ -126,6 +126,33 @@ val record :
     each source that is not already implied ([reduce_edges]).  Returns the
     event as a potential future source. *)
 
+(** {1 Observed cuts (hybrid execution on the primary)} *)
+
+val observing : t -> (unit -> 'a) -> 'a * Trace.Cut.t option
+(** [observing t f] runs [f] — a read-only query on an unbound fiber —
+    and returns with its result the causal cut that bounds every write
+    [f] observed: the join of the vector clocks of the sources behind
+    each native acquisition it made ([Lock.lock] and a successful
+    [Lock.try_lock]: the mutex's last release; [Rwlock.rd_lock]: the
+    last writer release; [Rwlock.wr_lock]: that and the reader releases
+    since).  A primitive never released adds the zero cut.
+
+    [None] when [f] took no tracked primitive, or took an untracked one
+    (a [Sem], a [Condvar] wait): the caller falls back to a bound of its
+    own, such as the whole recorded trace.  Sound for race-free apps:
+    state read under a lock was written before that lock's last release,
+    and recorded cuts are causally closed.  Scopes nest; an inner scope's
+    observations count for the outer one too. *)
+
+val observe_acquire : t -> source option -> source list -> unit
+(** Wrappers call this after a native acquisition, with the sources
+    whose writes the caller can now see.  No-op unless the calling fiber
+    is inside {!observing}; outside any scope it costs one atomic read. *)
+
+val observe_opaque : t -> unit
+(** Wrappers call this after a native operation whose writers are not
+    tracked; the enclosing {!observing} scope then returns [None]. *)
+
 (** {1 Replay path} *)
 
 val await_next : t -> [ `Event of Event.t | `Record_now | `Interrupted ]

@@ -33,7 +33,9 @@ let remember t src = t.last_event <- Some src
 
 let rec rd_lock t =
   match Runtime.effective_mode t.rt with
-  | Runtime.Native -> t.real.rw_rd_lock ()
+  | Runtime.Native ->
+    t.real.rw_rd_lock ();
+    Runtime.observe_acquire t.rt t.last_wr_release []
   | Runtime.Record ->
     t.real.rw_rd_lock ();
     Runtime.guarded t.rt (fun () ->
@@ -84,7 +86,9 @@ let rec rd_unlock t =
 
 let rec wr_lock t =
   match Runtime.effective_mode t.rt with
-  | Runtime.Native -> t.real.rw_wr_lock ()
+  | Runtime.Native ->
+    t.real.rw_wr_lock ();
+    Runtime.observe_acquire t.rt t.last_wr_release t.read_releases
   | Runtime.Record ->
     t.real.rw_wr_lock ();
     Runtime.guarded t.rt (fun () ->

@@ -54,7 +54,9 @@ let record_acquire t ~kind =
 
 let rec acquire t =
   match Runtime.effective_mode t.rt with
-  | Runtime.Native -> t.real.s_acquire ()
+  | Runtime.Native ->
+    t.real.s_acquire ();
+    Runtime.observe_opaque t.rt
   | Runtime.Record ->
     t.real.s_acquire ();
     record_acquire t ~kind:Event.Sem_acquire
@@ -72,7 +74,9 @@ let rec acquire t =
 
 let rec try_acquire t =
   match Runtime.effective_mode t.rt with
-  | Runtime.Native -> t.real.s_try_acquire ()
+  | Runtime.Native ->
+    Runtime.observe_opaque t.rt;
+    t.real.s_try_acquire ()
   | Runtime.Record ->
     if t.real.s_try_acquire () then begin
       record_acquire t ~kind:Event.Try_ok;

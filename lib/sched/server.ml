@@ -331,10 +331,6 @@ let create net rpc cfg ~node ~paxos_store ~mode ~conflict factory =
                | Some p -> Paxos.Replica.leader_hint p
                | None -> None);
            enqueue = (fun request cb -> Queue.push (request, cb) t.queue);
-           query =
-             (fun request ->
-               t.st_queries <- t.st_queries + 1;
-               Some (t.app.R.App.query ~request));
          });
   t
 

@@ -281,6 +281,186 @@ let rex_reads_latest () =
           (R.Client.query cl "GET rk")
       done)
 
+(* --- Rex: the primary's per-read release gate ---
+
+   A lease read on the Rex primary runs against speculative state and is
+   released once the recorded prefix it observed commits.  The harness
+   cuts the primary off from its peers so that a write it executes
+   cannot commit, while a long lease (well inside the election timeout)
+   keeps it serving local reads.  Kyoto plus one query, [SGET], that
+   takes a semaphore around a [GET]. *)
+
+let sem_kyoto : R.App.factory =
+ fun api ->
+  let sem = R.Api.sem api "gate.sem" 1 in
+  let app = Apps.Kyoto.factory () api in
+  let query ~request =
+    match String.split_on_char ' ' request with
+    | [ "SGET"; key ] ->
+      Rexsync.Sem.acquire sem;
+      Fun.protect
+        ~finally:(fun () -> Rexsync.Sem.release sem)
+        (fun () -> app.R.App.query ~request:("GET " ^ key))
+    | _ -> app.R.App.query ~request
+  in
+  { app with R.App.query }
+
+type gate = {
+  gc : R.Cluster.t;
+  geng : Engine.t;
+  gp : R.Server.t;  (* the primary *)
+  gnode : int;
+}
+
+let gate_cluster ~seed =
+  let cfg =
+    R.Cluster.config ~workers:2 ~lease_duration:0.2 ~election_timeout:0.5 ()
+  in
+  let gc = R.Cluster.launch ~seed cfg sem_kyoto in
+  let geng = R.Cluster.engine gc in
+  let cl = R.Cluster.client gc in
+  in_fiber geng ~node:(R.Cluster.client_node gc) (fun () ->
+      List.iter
+        (fun req ->
+          Alcotest.(check (option string)) req (Some "OK") (R.Client.call cl req))
+        [ "SET ka v1"; "SET kb w1" ]);
+  R.Cluster.run_for gc 0.05;
+  let gp = Option.get (R.Cluster.primary gc) in
+  { gc; geng; gp; gnode = R.Server.node gp }
+
+let isolate g =
+  List.iter
+    (fun i -> if i <> g.gnode then Net.partition (R.Cluster.net g.gc) g.gnode i)
+    (R.Cluster.replica_nodes g.gc)
+
+let uncommitted g =
+  not (Trace.Cut.leq (R.Server.executed_cut g.gp) (R.Server.committed_cut g.gp))
+
+(* Submit a write straight to the primary (no client retry can re-run it
+   elsewhere) and let it execute; [acked] holds its fate once known. *)
+let execute_isolated g request =
+  let acked = ref None in
+  R.Server.submit g.gp request (fun r -> acked := Some r);
+  R.Cluster.run_for g.gc 2e-3;
+  Alcotest.(check bool) "the write executed, uncommitted" true (uncommitted g);
+  acked
+
+(* A read from the client node, aimed at the primary, one attempt.
+   [answer] gets (latency, reply, whether the write was acked by then). *)
+let read_primary g ?(acked = ref None) request =
+  let answer = ref None in
+  let cl = R.Cluster.client g.gc in
+  ignore
+    (Engine.spawn g.geng ~node:(R.Cluster.client_node g.gc) (fun () ->
+         let t0 = Engine.now () in
+         let r = R.Client.query ~on:g.gnode ~retries:1 ~timeout:5.0 cl request in
+         answer := Some (Engine.now () -. t0, r, !acked <> None)));
+  answer
+
+(* Every read went the lease route (not a quorum round, not the log). *)
+let all_via_lease g n =
+  Alcotest.(check int) "reads served under the lease" n
+    (frontend_count g.geng ~node:g.gnode "reads_fast_lease");
+  Alcotest.(check int) "no quorum rounds" 0
+    (frontend_count g.geng ~node:g.gnode "quorum_read_rounds")
+
+let run_until g cond =
+  let steps = ref 0 in
+  while (not (cond ())) && !steps < 400 do
+    R.Cluster.run_for g.gc 0.01;
+    incr steps
+  done
+
+(* A read of a key with an executed but uncommitted write is held until
+   that write commits, then answers with it. *)
+let rex_gate_holds_uncommitted_key () =
+  let g = gate_cluster ~seed:31 in
+  isolate g;
+  let acked = execute_isolated g "SET ka v2" in
+  let read = read_primary g ~acked "GET ka" in
+  R.Cluster.run_for g.gc 0.05;
+  Alcotest.(check bool) "held while the write is uncommitted" true
+    (!read = None && uncommitted g);
+  all_via_lease g 1;
+  Net.heal_all (R.Cluster.net g.gc);
+  run_until g (fun () -> !read <> None);
+  match !read with
+  | Some (_, got, acked_first) ->
+    Alcotest.(check (option string)) "answers with the write" (Some "v2") got;
+    Alcotest.(check bool) "not before the write committed" true acked_first;
+    Alcotest.(check bool) "the write committed" true
+      (!acked = Some (Some "OK"))
+  | None -> Alcotest.fail "read never answered"
+
+(* The primary is isolated and demoted before the write commits: the
+   held read is dropped and never answers with the rolled-back value. *)
+let rex_gate_drops_on_demotion () =
+  let g = gate_cluster ~seed:37 in
+  isolate g;
+  let acked = execute_isolated g "SET ka v2" in
+  let read = read_primary g "GET ka" in
+  R.Cluster.run_for g.gc 0.01;
+  all_via_lease g 1;
+  (* the healthy side elects a successor; healing lets the old primary
+     learn of it and demote *)
+  R.Cluster.run_for g.gc 1.0;
+  Alcotest.(check bool) "a successor was elected" true
+    (List.exists
+       (fun s -> R.Server.node s <> g.gnode && R.Server.is_primary s)
+       (Array.to_list (R.Cluster.servers g.gc)));
+  Net.heal_all (R.Cluster.net g.gc);
+  run_until g (fun () -> !read <> None);
+  Alcotest.(check bool) "the old primary demoted" false
+    (R.Server.is_primary g.gp);
+  Alcotest.(check bool) "the write was dropped" true (!acked = Some None);
+  match !read with
+  | Some (_, got, _) ->
+    Alcotest.(check (option string)) "the read was dropped, not answered"
+      None got
+  | None -> Alcotest.fail "read never resolved"
+
+(* A key whose slice's last release is committed answers at once, while
+   another slice holds an uncommitted write. *)
+let rex_gate_clean_key_no_wait () =
+  let g = gate_cluster ~seed:41 in
+  isolate g;
+  let acked = execute_isolated g "SET ka v2" in
+  let read = read_primary g ~acked "GET kb" in
+  R.Cluster.run_for g.gc 0.02;
+  (match !read with
+  | Some (lat, got, acked_first) ->
+    Alcotest.(check (option string)) "the committed value" (Some "w1") got;
+    Alcotest.(check bool) "no commit wait" true (lat < 5e-3 && not acked_first)
+  | None -> Alcotest.fail "a clean key waited for another slice's commit");
+  Alcotest.(check bool) "the other write is still uncommitted" true
+    (uncommitted g);
+  all_via_lease g 1;
+  Net.heal_all (R.Cluster.net g.gc)
+
+(* Queries whose writers are not tracked keep the whole-trace gate: a
+   read of no primitive (kyoto COUNT) and one under a semaphore both
+   wait for the uncommitted write on an unrelated slice. *)
+let rex_gate_untracked_waits () =
+  let g = gate_cluster ~seed:43 in
+  isolate g;
+  let acked = execute_isolated g "SET kc x1" in
+  let count = read_primary g ~acked "COUNT" in
+  let sget = read_primary g ~acked "SGET kb" in
+  R.Cluster.run_for g.gc 0.05;
+  Alcotest.(check bool) "both held while the write is uncommitted" true
+    (!count = None && !sget = None);
+  all_via_lease g 2;
+  Net.heal_all (R.Cluster.net g.gc);
+  run_until g (fun () -> !count <> None && !sget <> None);
+  let check name expect = function
+    | Some (_, got, acked_first) ->
+      Alcotest.(check (option string)) name (Some expect) got;
+      Alcotest.(check bool) (name ^ ": not before the commit") true acked_first
+    | None -> Alcotest.failf "%s never answered" name
+  in
+  check "COUNT" "3" !count;
+  check "SGET" "w1" !sget
+
 (* QCheck: after any acked write sequence, a fast-path read — on the
    primary or any secondary — observes the latest released write to
    that key.  Ops are derived from the generated seed so each case is a
@@ -330,5 +510,13 @@ let suite =
     Alcotest.test_case "lease read on the primary" `Quick
       lease_read_on_primary;
     Alcotest.test_case "rex: reads see latest write" `Quick rex_reads_latest;
+    Alcotest.test_case "rex gate: held until the write commits" `Quick
+      rex_gate_holds_uncommitted_key;
+    Alcotest.test_case "rex gate: dropped on demotion" `Quick
+      rex_gate_drops_on_demotion;
+    Alcotest.test_case "rex gate: clean key answers at once" `Quick
+      rex_gate_clean_key_no_wait;
+    Alcotest.test_case "rex gate: untracked queries wait" `Quick
+      rex_gate_untracked_waits;
     QCheck_alcotest.to_alcotest prop_reads_see_latest_write;
   ]

@@ -52,6 +52,20 @@ let wheel_pop_until_partial () =
   Alcotest.(check (list (float 0.)))
     "order across slices" [ 0.1; 0.2; 0.3; 0.4 ] (List.rev !fired)
 
+let wheel_next_due_across_levels () =
+  (* A level-1 timer due before a level-0 timer must come first: after
+     the cursor moves, a near timer lands in level 0 while an earlier
+     one still waits in level 1 for its cascade. *)
+  let w = W.create ~tick:1e-3 ~now:0. () in
+  W.add w ~at:0.3 ();
+  ignore (W.pop_until w ~now:0.2 (fun _ () -> ()));
+  W.add w ~at:0.45 ();
+  Alcotest.(check (option (float 0.))) "earliest across levels" (Some 0.3)
+    (W.next_due w);
+  let fired = ref [] in
+  ignore (W.pop_until w ~now:0.31 (fun at () -> fired := at :: !fired));
+  Alcotest.(check (list (float 0.))) "fires at its due time" [ 0.3 ] !fired
+
 let wheel_rearm_during_pop () =
   (* A callback re-arming its own next timer (the session pattern) fires
      again within the same pop when due inside the window. *)
@@ -473,6 +487,8 @@ let suite =
       wheel_orders_timers;
     Alcotest.test_case "wheel: partial pops + next_due" `Quick
       wheel_pop_until_partial;
+    Alcotest.test_case "wheel: next_due across levels" `Quick
+      wheel_next_due_across_levels;
     Alcotest.test_case "wheel: re-arm during pop" `Quick wheel_rearm_during_pop;
     Alcotest.test_case "wheel: far-future cascade" `Quick
       wheel_far_future_cascades;

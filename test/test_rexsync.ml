@@ -666,3 +666,99 @@ let prop_random_scripts_deterministic =
 
 let suite =
   suite @ [ QCheck_alcotest.to_alcotest prop_random_scripts_deterministic ]
+
+(* --- Observed cuts: what a native reader's answer depends on. ---
+
+   One scenario on either backend.  [run f] runs [f] in a fresh fiber to
+   completion, so the phases below happen in order. *)
+
+let observing_scenario bk ~run =
+  let rt = Runtime.create bk ~node:0 ~slots:2 in
+  let m = Lock.create rt "m" in
+  let fresh = Lock.create rt "fresh" in
+  let w = Rwlock.create rt "w" in
+  let s = Sem.create rt "s" 1 in
+  (* slot 0: a mutex section (events 1-2), then a writer section (3-4);
+     slot 1: a reader section ordered after that writer (events 1-2) *)
+  run (fun () ->
+      Runtime.bind_slot rt 0;
+      Lock.with_lock m ignore;
+      Rwlock.with_wr w ignore;
+      Runtime.unbind_slot rt);
+  run (fun () ->
+      Runtime.bind_slot rt 1;
+      Rwlock.with_rd w ignore;
+      Runtime.unbind_slot rt);
+  let cut = Alcotest.(option (array int)) in
+  let obs f = Option.map Trace.Cut.to_array (snd (Runtime.observing rt f)) in
+  run (fun () ->
+      Alcotest.check cut "mutex: its last release" (Some [| 2; 0 |])
+        (obs (fun () -> Lock.with_lock m ignore));
+      Alcotest.check cut "try_lock: its last release" (Some [| 2; 0 |])
+        (obs (fun () -> if Lock.try_lock m then Lock.unlock m));
+      Alcotest.check cut "rd_lock: the last writer release" (Some [| 4; 0 |])
+        (obs (fun () -> Rwlock.with_rd w ignore));
+      Alcotest.check cut "wr_lock: also the reader releases" (Some [| 4; 2 |])
+        (obs (fun () -> Rwlock.with_wr w ignore));
+      Alcotest.check cut "never released: zero" (Some [| 0; 0 |])
+        (obs (fun () -> Lock.with_lock fresh ignore));
+      Alcotest.check cut "no primitive: no bound" None (obs ignore);
+      Alcotest.check cut "a semaphore: no bound" None
+        (obs (fun () ->
+             Lock.with_lock m ignore;
+             Sem.acquire s;
+             Sem.release s));
+      Alcotest.check cut "nested: the outer scope joins the inner"
+        (Some [| 4; 0 |])
+        (obs (fun () ->
+             Lock.with_lock m ignore;
+             Alcotest.check cut "inner" (Some [| 4; 0 |])
+               (obs (fun () -> Rwlock.with_rd w ignore))));
+      Alcotest.check cut "nested: an opaque inner scope" None
+        (obs (fun () ->
+             Lock.with_lock m ignore;
+             ignore (obs (fun () -> Sem.acquire s; Sem.release s))));
+      let r, c = Runtime.observing rt (fun () -> 42) in
+      Alcotest.(check int) "result passed through" 42 r;
+      Alcotest.check cut "and no bound" None (Option.map Trace.Cut.to_array c));
+  (* Concurrent scopes stay apart: fibers alternate a tracked scope with
+     an empty one, and a leak between them would bound the empty one. *)
+  let leaks = Atomic.make 0 in
+  run (fun () ->
+      let dones = Atomic.make 0 in
+      let fibers = 4 in
+      for _ = 1 to fibers do
+        Par.Backend.spawn bk ~node:0 ~name:"observer" (fun () ->
+            for _ = 1 to 50 do
+              if obs (fun () -> Lock.with_lock m Engine.yield) <> Some [| 2; 0 |]
+              then Atomic.incr leaks;
+              if obs Engine.yield <> None then Atomic.incr leaks
+            done;
+            Atomic.incr dones)
+      done;
+      while Atomic.get dones < fibers do
+        Engine.yield ()
+      done);
+  Alcotest.(check int) "scopes of concurrent fibers stay apart" 0
+    (Atomic.get leaks)
+
+let observing_sim () =
+  let eng = fresh_engine () in
+  observing_scenario (Par.Backend.of_sim eng) ~run:(fun f ->
+      ignore (Engine.spawn eng ~node:0 f);
+      Engine.run eng)
+
+let observing_domains () =
+  let d = Par.Domains.create ~seed:3 ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Par.Domains.shutdown d)
+    (fun () ->
+      observing_scenario (Par.Domains.backend d) ~run:(Par.Domains.run d))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "observing: cuts on the simulator" `Quick
+        observing_sim;
+      Alcotest.test_case "observing: cuts on domains" `Quick observing_domains;
+    ]
