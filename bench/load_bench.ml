@@ -147,15 +147,6 @@ let deploy ?record_cost ~seed ~admit stack =
     let rpc = Rpc.create net in
     let fronts =
       match stack with
-      | SSmr ->
-        let servers =
-          Array.init 3 (fun i ->
-              Smr.create net rpc cfg ~node:i
-                ~paxos_store:(Paxos.Store.create ())
-                (keyed_factory ()))
-        in
-        Array.iter Smr.start servers;
-        Array.to_list servers |> List.map Smr.frontend
       | SEve ->
         let ecfg =
           Eve.default_config ~workers:4 ~admit_global:ad_global
@@ -170,18 +161,21 @@ let deploy ?record_cost ~seed ~admit stack =
         in
         Array.iter Eve.start servers;
         Array.to_list servers |> List.map Eve.frontend
-      | SCbase | SEarly ->
-        let mode =
-          if stack = SCbase then Sched.Exec.Cbase else Sched.Exec.Early
+      | SSmr | SCbase | SEarly ->
+        let create i =
+          let paxos_store = Paxos.Store.create () in
+          match stack with
+          | SCbase | SEarly ->
+            let mode =
+              if stack = SCbase then Sched.Exec.Cbase else Sched.Exec.Early
+            in
+            Sched.Server.create net rpc cfg ~node:i ~paxos_store ~mode
+              ~conflict (keyed_factory ())
+          | _ -> Smr.create net rpc cfg ~node:i ~paxos_store (keyed_factory ())
         in
-        let servers =
-          Array.init 3 (fun i ->
-              Sched.Server.create net rpc cfg ~node:i
-                ~paxos_store:(Paxos.Store.create ())
-                ~mode ~conflict (keyed_factory ()))
-        in
-        Array.iter Sched.Server.start servers;
-        Array.to_list servers |> List.map Sched.Server.frontend
+        let servers = Array.init 3 create in
+        Array.iter Smr.start servers;
+        Array.to_list servers |> List.map Smr.frontend
       | SRex -> assert false
     in
     Engine.run ~until:1.0 eng;

@@ -83,9 +83,20 @@ let make_sched ~seed ~mode ~workers () =
         Array.to_list servers |> List.map Sched.Server.app_digest);
     extras =
       (fun () ->
-        let s = (Sched.Server.stats primary).Sched.Server.exec in
-        Printf.sprintf "graph<=%d ready<=%d stalls=%d" s.Sched.Exec.graph_max
-          s.Sched.Exec.ready_max s.Sched.Exec.barrier_stalls);
+        (* the primary's execution stage, as it reports itself *)
+        let labels =
+          [ ("node", string_of_int (Sched.Server.node primary));
+            ("stack", Sched.Exec.mode_name mode) ]
+        in
+        let obs = Engine.obs eng in
+        let gauge name =
+          int_of_float
+            (Obs.Metric.get (Obs.gauge obs ~subsystem:"sched" ~labels name))
+        in
+        Printf.sprintf "graph<=%d ready<=%d stalls=%d"
+          (gauge "graph_size_max") (gauge "ready_width_max")
+          (Obs.Metric.value
+             (Obs.counter obs ~subsystem:"sched" ~labels "barrier_stalls")));
   }
 
 let make_rex ~seed ~workers () =

@@ -314,14 +314,13 @@ let deploy_single history_of cfg =
      state, start, and re-wire the history tap.  That is the rolling
      upgrade path for stacks without checkpoint recovery. *)
   let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let make_smr () =
+  (* SMR, CBASE and early are one ordered-log shell ({!Smr.t}) with
+     different execution stages. *)
+  let make_ordered ~workers create =
     let config =
-      R.Config.make ~workers:1 ~replicas ~lease_unsafe:cfg.lease_unsafe ()
+      R.Config.make ~workers ~replicas ~lease_unsafe:cfg.lease_unsafe ()
     in
-    let mk i =
-      Smr.create net rpc config ~node:i ~paxos_store:stores.(i)
-        (factory_for cfg)
-    in
+    let mk = create config in
     let servers = Array.init 3 mk in
     Array.iter Smr.start servers;
     let live s = Engine.node_alive eng (Smr.node s) in
@@ -342,6 +341,11 @@ let deploy_single history_of cfg =
         Smr.start s;
         servers.(i) <- s;
         History.wire history [ Smr.frontend s ] )
+  in
+  let make_sched mode =
+    make_ordered ~workers:4 (fun config i ->
+        Sched.Server.create net rpc config ~node:i ~paxos_store:stores.(i)
+          ~mode ~conflict:(conflict_keys_for cfg) (factory_for cfg))
   in
   let make_eve () =
     let ecfg =
@@ -373,37 +377,12 @@ let deploy_single history_of cfg =
         servers.(i) <- s;
         History.wire history [ Eve.frontend s ] )
   in
-  let make_sched mode =
-    let config =
-      R.Config.make ~workers:4 ~replicas ~lease_unsafe:cfg.lease_unsafe ()
-    in
-    let mk i =
-      Sched.Server.create net rpc config ~node:i ~paxos_store:stores.(i)
-        ~mode ~conflict:(conflict_keys_for cfg) (factory_for cfg)
-    in
-    let servers = Array.init 3 mk in
-    Array.iter Sched.Server.start servers;
-    let live s = Engine.node_alive eng (Sched.Server.node s) in
-    ( (fun () -> List.map Sched.Server.frontend (Array.to_list servers)),
-      (fun () ->
-        Array.to_list servers |> List.filter live
-        |> List.map Sched.Server.app_digest),
-      (fun () ->
-        Array.to_list servers
-        |> List.find_opt (fun s -> live s && Sched.Server.is_primary s)
-        |> Option.map Sched.Server.node),
-      fun i ->
-        Engine.crash_node eng i;
-        Engine.restart_node eng i;
-        let s = mk i in
-        Sched.Server.replay s;
-        Sched.Server.start s;
-        servers.(i) <- s;
-        History.wire history [ Sched.Server.frontend s ] )
-  in
   let fronts, digests, leader, upgrade_node =
     match cfg.stack with
-    | Smr -> make_smr ()
+    | Smr ->
+      make_ordered ~workers:1 (fun config i ->
+          Smr.create net rpc config ~node:i ~paxos_store:stores.(i)
+            (factory_for cfg))
     | Cbase -> make_sched Sched.Exec.Cbase
     | Early -> make_sched Sched.Exec.Early
     | _ -> make_eve ()

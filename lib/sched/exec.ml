@@ -23,10 +23,6 @@
 type mode = Cbase | Early
 
 let mode_name = function Cbase -> "cbase" | Early -> "early"
-let mode_of_string = function
-  | "cbase" -> Some Cbase
-  | "early" -> Some Early
-  | _ -> None
 
 type task = { t_keys : string list; t_run : unit -> unit }
 
@@ -43,7 +39,6 @@ and shared = {
 
 type t = {
   backend : Par.Backend.t;
-  node : int;
   mode : mode;
   workers : int;
   conflict : string -> string list;
@@ -90,9 +85,6 @@ let stats t =
     ready_max = int_of_float (Obs.Metric.get t.g_ready_max);
     busy_time = t.busy_time;
   }
-
-let pending t = t.in_flight
-let mode t = t.mode
 
 let lock t = t.m.Par.Backend.m_lock ()
 let unlock t = t.m.Par.Backend.m_unlock ()
@@ -223,7 +215,6 @@ let create backend ~node ~mode ~workers ~conflict ~execute =
   let t =
     {
       backend;
-      node;
       mode;
       workers;
       conflict;
@@ -296,17 +287,7 @@ let add t ~keys ~run =
   unlock t
 
 let admit t req cb =
-  let keys = t.conflict req in
-  add t ~keys ~run:(fun () ->
-      let resp =
-        try t.execute req with
-        | Sim.Engine.Killed as e -> raise e
-        | exn ->
-          Logs.warn (fun m ->
-              m "sched[%d]: handler raised %s" t.node (Printexc.to_string exn));
-          "ERR:handler-exception"
-      in
-      cb resp)
+  add t ~keys:(t.conflict req) ~run:(fun () -> cb (t.execute req))
 
 let admit_barrier t f = add t ~keys:[] ~run:f
 

@@ -15,7 +15,6 @@
 type mode = Cbase | Early
 
 val mode_name : mode -> string
-val mode_of_string : string -> mode option
 
 type t
 
@@ -28,7 +27,8 @@ val create :
   execute:(string -> string) ->
   t
 (** Spawns [workers] worker fibers on [backend] for [node].  [conflict]
-    is the (session-wrapped) oracle; [execute] the app step function.
+    is the (session-wrapped) oracle; [execute] the app step function,
+    which maps handler exceptions to responses itself.
     Raises [Invalid_argument] when [workers <= 0]. *)
 
 val admit : t -> string -> (string -> unit) -> unit
@@ -48,11 +48,7 @@ val park_until_quiet : t -> string list -> unit
 
 val busy : t -> string list -> bool
 val drain : t -> unit
-(** Block until everything admitted so far has executed (checkpoint
-    cut points). *)
-
-val pending : t -> int
-val mode : t -> mode
+(** Block until everything admitted so far has executed. *)
 
 val shutdown : t -> unit
 (** Ask idle workers to exit once the queues are empty (lets

@@ -1,17 +1,13 @@
 open Sim
 module R = Rex_core
 
-let batch_max = 64
 let timer_prefix = "\x00TIMER:"
 
-type pending = string * (string option -> unit) option
-
-type stats = {
-  requests_executed : int;
-  replies_sent : int;
-  queries_served : int;
-  proposals_sent : int;
-  proposal_bytes : int;
+type stage = {
+  batch_max : int;
+  admit : string -> (string -> unit) -> unit;
+  admit_barrier : (unit -> unit) -> unit;
+  read_gate : string -> unit;
 }
 
 type t = {
@@ -19,10 +15,13 @@ type t = {
   net : Net.t;
   cfg : R.Config.t;
   node_id : int;
+  name : string;
   pstore : Paxos.Store.t;
-  app : R.App.t;  (* session-wrapped: see [create] *)
+  app : R.App.t;  (* session-wrapped: see [make] *)
   session : R.Session.Table.t;
   timers : R.Api.timer_spec array;
+  stage : stage;
+  executed : int ref;
   mutable pax : Paxos.Replica.t option;
   mutable front : R.Frontend.t option;
   mutable leader : bool;
@@ -30,14 +29,11 @@ type t = {
   queue : (string * (string option -> unit)) Queue.t;
   mutable inflight : (string * (string option -> unit) option list) option;
       (* encoded batch we proposed, and its callbacks in order *)
-  exec_queue : (int * pending list) Queue.t;
+  exec_queue : (int * (string * (string option -> unit) option) list) Queue.t;
   mutable exec_waiters : Engine.waker list;
+  applied_q : (int * int ref) Queue.t;  (* instance, requests left *)
   mutable applied : int;  (* highest instance fully executed locally *)
-  mutable st_requests : int;
-  mutable st_replies : int;
-  mutable st_queries : int;
-  mutable st_proposals : int;
-  mutable st_proposal_bytes : int;
+  mutable idle_waiters : Engine.waker list;  (* [quiesce] callers *)
 }
 
 let node t = t.node_id
@@ -49,27 +45,51 @@ let frontend t =
   | Some f -> f
   | None -> invalid_arg "Smr.frontend: not registered"
 let app_digest t = t.app.R.App.digest ()
-let executed_requests t = t.st_requests
+let executed_requests t = !(t.executed)
 
-let stats t =
-  {
-    requests_executed = t.st_requests;
-    replies_sent = t.st_replies;
-    queries_served = t.st_queries;
-    proposals_sent = t.st_proposals;
-    proposal_bytes = t.st_proposal_bytes;
-  }
+let wake_all ws = List.iter Engine.wake ws
 
-let encode_batch = R.Frontend.encode_batch
-let decode_batch = R.Frontend.decode_batch
+let is_tick request = String.starts_with ~prefix:timer_prefix request
 
-let wake_executor t =
-  let ws = t.exec_waiters in
-  t.exec_waiters <- [];
-  List.iter Engine.wake ws
+(* The log's only intake besides the leader's timer fibers: a client
+   request carrying the tick prefix is refused, so ticks cannot be
+   forged. *)
+let intake t request cb =
+  if is_tick request then cb None else Queue.push (request, cb) t.queue
 
-(* All replicas execute committed requests in order, one at a time: the
-   sequential execution model of classic SMR. *)
+let run_tick t request =
+  let n = String.length timer_prefix in
+  match int_of_string_opt (String.sub request n (String.length request - n)) with
+  | Some idx when idx >= 0 && idx < Array.length t.timers ->
+    t.timers.(idx).R.Api.t_callback ()
+  | Some _ | None -> ()
+
+(* Completions may arrive out of order (a parallel stage overlaps
+   non-conflicting requests of consecutive batches), but commits arrive
+   in order ([max_inflight = 1]): each completion decrements its own
+   instance's counter, and the applied index advances by draining
+   fully-executed instances from the head of [applied_q]. *)
+let advance_applied t =
+  let rec advance () =
+    match Queue.peek_opt t.applied_q with
+    | Some (instance, remaining) when !remaining = 0 ->
+      ignore (Queue.pop t.applied_q);
+      if instance > t.applied then t.applied <- instance;
+      advance ()
+    | Some _ | None -> ()
+  in
+  advance ();
+  if Queue.is_empty t.applied_q then begin
+    let ws = t.idle_waiters in
+    t.idle_waiters <- [];
+    wake_all ws
+  end
+
+(* One executor fiber hands committed batches to the stage strictly in
+   log order (a stage's admission may park; funnelling through one fiber
+   keeps instance i fully admitted before i+1 regardless).  Timer ticks
+   become stage barriers, so every replica runs the callback at the same
+   log position. *)
 let executor_loop t () =
   let rec next_batch () =
     match Queue.take_opt t.exec_queue with
@@ -78,44 +98,33 @@ let executor_loop t () =
       Engine.park (fun w -> t.exec_waiters <- w :: t.exec_waiters);
       next_batch ()
   in
-  let run_one (request, cb) =
-    (if String.length request > String.length timer_prefix
-        && String.sub request 0 (String.length timer_prefix) = timer_prefix
-    then begin
-      let idx =
-        int_of_string
-          (String.sub request (String.length timer_prefix)
-             (String.length request - String.length timer_prefix))
-      in
-      if idx >= 0 && idx < Array.length t.timers then
-        t.timers.(idx).R.Api.t_callback ()
-    end
-    else begin
-      let resp =
-        try t.app.R.App.execute ~request
-        with exn ->
-          Logs.warn (fun m ->
-              m "smr[%d]: handler raised %s" t.node_id (Printexc.to_string exn));
-          "ERR:handler-exception"
-      in
-      t.st_requests <- t.st_requests + 1;
-      match cb with
-      | Some cb ->
-        t.st_replies <- t.st_replies + 1;
-        cb (Some resp)
-      | None -> ()
-    end)
+  let admit_one remaining (request, cb) =
+    let retire () =
+      decr remaining;
+      advance_applied t
+    in
+    if is_tick request then
+      t.stage.admit_barrier (fun () ->
+          run_tick t request;
+          retire ())
+    else
+      t.stage.admit request (fun resp ->
+          Option.iter (fun cb -> cb (Some resp)) cb;
+          retire ())
   in
   let rec loop () =
-    let instance, batch = next_batch () in
-    List.iter run_one batch;
-    if instance > t.applied then t.applied <- instance;
+    (match next_batch () with
+    | instance, [] -> if instance > t.applied then t.applied <- instance
+    | instance, batch ->
+      let remaining = ref (List.length batch) in
+      Queue.push (instance, remaining) t.applied_q;
+      List.iter (admit_one remaining) batch);
     loop ()
   in
   loop ()
 
 let on_committed t instance value =
-  match decode_batch value with
+  match R.Frontend.decode_batch value with
   | exception Codec.Decode_error _ -> ()
   | reqs ->
     let cbs =
@@ -131,13 +140,14 @@ let on_committed t instance value =
       else List.map (fun _ -> None) reqs
     in
     Queue.push (instance, List.combine reqs cbs) t.exec_queue;
-    wake_executor t
+    let ws = t.exec_waiters in
+    t.exec_waiters <- [];
+    wake_all ws
 
 (* Rolling-upgrade support: a replacement server created over the old
    server's store re-executes the committed prefix to rebuild app and
-   session state (this stack has no checkpoint recovery).  Call between
-   [create] and [start]; the executor drains the queued batches in log
-   order once it spawns. *)
+   session state.  Call between [make] and [start]; the executor drains
+   the queued batches in log order once it spawns. *)
 let replay t = Paxos.Replica.replay_committed t.pstore (on_committed t)
 
 let spawn_leader_fibers t =
@@ -146,7 +156,7 @@ let spawn_leader_fibers t =
   let live () = t.leader && t.leader_epoch = epoch in
   (* Batcher: drain the queue into proposals, one instance at a time. *)
   ignore
-    (Engine.spawn t.eng ~node:t.node_id ~name:"smr.batcher" (fun () ->
+    (Engine.spawn t.eng ~node:t.node_id ~name:(t.name ^ ".batcher") (fun () ->
          while live () do
            Engine.sleep t.cfg.R.Config.propose_interval;
            if live () && t.inflight = None && not (Queue.is_empty t.queue) then begin
@@ -160,26 +170,22 @@ let spawn_leader_fibers t =
                    | None -> List.rev acc
                    | Some r -> drain (k - 1) (r :: acc)
                in
-               let items = drain batch_max [] in
+               let items = drain t.stage.batch_max [] in
                if items <> [] then begin
-                 let reqs = List.map fst items in
-                 let enc = encode_batch reqs in
-                 if Paxos.Replica.propose pax enc then begin
-                   t.inflight <- Some (enc, List.map (fun (_, cb) -> Some cb) items);
-                   t.st_proposals <- t.st_proposals + 1;
-                   t.st_proposal_bytes <- t.st_proposal_bytes + String.length enc
-                 end
+                 let enc = R.Frontend.encode_batch (List.map fst items) in
+                 if Paxos.Replica.propose pax enc then
+                   t.inflight <- Some (enc, List.map (fun (_, cb) -> Some cb) items)
                  else List.iter (fun (_, cb) -> cb None) items
                end
              end
            end
          done));
-  (* Timers become proposed pseudo-requests, serialized like the rest. *)
+  (* Timers become proposed pseudo-requests, ordered like the rest. *)
   Array.iteri
     (fun idx spec ->
       ignore
         (Engine.spawn t.eng ~node:t.node_id
-           ~name:("smr.timer." ^ spec.R.Api.t_name)
+           ~name:(t.name ^ ".timer." ^ spec.R.Api.t_name)
            (fun () ->
              while live () do
                Engine.sleep spec.R.Api.t_interval;
@@ -190,30 +196,48 @@ let spawn_leader_fibers t =
              done)))
     t.timers
 
-let create net rpc cfg ~node ~paxos_store factory =
+let make net rpc cfg ~node ~paxos_store ~name ~stage factory =
   let eng = Net.engine net in
   (* The app's wrappers run native: no fiber is ever bound to a slot. *)
   let rt = Rexsync.Runtime.create (Par.Backend.of_sim eng) ~node ~slots:1 in
   let api = R.Api.make rt in
-  let session =
-    R.Session.Table.create (Engine.obs eng) ~stack:"smr" ~node ()
-  in
-  (* Serial execution is identical on every replica, so the in-execute
-     duplicate check is deterministic here — it catches retries that
-     slipped past intake on a freshly elected leader whose executor is
-     still catching up on earlier instances. *)
+  let session = R.Session.Table.create (Engine.obs eng) ~stack:name ~node () in
+  (* Every stage executes one client's requests in log order (a parallel
+     stage's session-wrapped oracle gives each client its own ordering
+     key), so the in-execute duplicate check is deterministic — it
+     catches retries that slipped past intake on a freshly elected
+     leader whose executor is still catching up on earlier instances. *)
   let app = R.Session.wrap ~table:session ~dedup_in_execute:true (factory api) in
   let timers = Array.of_list (R.Api.seal api) in
+  let executed = ref 0 in
+  (* A node crash unwinds the executing fiber with [Engine.Killed]: let
+     it through, so a dead node answers nobody. *)
+  let execute request =
+    let resp =
+      try app.R.App.execute ~request with
+      | Engine.Killed as e -> raise e
+      | exn ->
+        Logs.warn (fun m ->
+            m "%s[%d]: handler raised %s" name node (Printexc.to_string exn));
+        "ERR:handler-exception"
+    in
+    incr executed;
+    resp
+  in
+  let stage = stage ~execute in
   let t =
     {
       eng;
       net;
       cfg;
       node_id = node;
+      name;
       pstore = paxos_store;
       app;
       session;
       timers;
+      stage;
+      executed;
       pax = None;
       front = None;
       leader = false;
@@ -222,12 +246,9 @@ let create net rpc cfg ~node ~paxos_store factory =
       inflight = None;
       exec_queue = Queue.create ();
       exec_waiters = [];
+      applied_q = Queue.create ();
       applied = 0;
-      st_requests = 0;
-      st_replies = 0;
-      st_queries = 0;
-      st_proposals = 0;
-      st_proposal_bytes = 0;
+      idle_waiters = [];
     }
   in
   t.front <-
@@ -256,12 +277,13 @@ let create net rpc cfg ~node ~paxos_store factory =
                  | Some p -> Paxos.Replica.read_index p
                  | None -> 0);
              (* The leader replies to a write only after executing it
-                locally, so leader state always covers every acked write:
-                both read paths can answer from [t.app] directly. *)
+                locally, so once the stage's read gate has let in-flight
+                conflicting writes finish, leader state covers every
+                acked write: both read paths answer from [t.app]. *)
              r_applied_upto = (fun () -> t.applied);
              r_read_local =
                (fun request cb ->
-                 t.st_queries <- t.st_queries + 1;
+                 t.stage.read_gate request;
                  cb (Some (t.app.R.App.query ~request)));
              r_lease_unsafe = cfg.R.Config.lease_unsafe;
            }
@@ -272,9 +294,21 @@ let create net rpc cfg ~node ~paxos_store factory =
                match t.pax with
                | Some p -> Paxos.Replica.leader_hint p
                | None -> None);
-           enqueue = (fun request cb -> Queue.push (request, cb) t.queue);
+           enqueue = intake t;
          });
   t
+
+(* Serial stage: execute inline on the executor fiber, one request at a
+   time — the sequential execution model of classic SMR. *)
+let create net rpc cfg ~node ~paxos_store factory =
+  make net rpc cfg ~node ~paxos_store ~name:"smr" factory
+    ~stage:(fun ~execute ->
+      {
+        batch_max = 64;
+        admit = (fun request k -> k (execute request));
+        admit_barrier = (fun f -> f ());
+        read_gate = ignore;
+      })
 
 let start t =
   let pax_cfg =
@@ -313,12 +347,28 @@ let start t =
   let pax = Paxos.Replica.create t.net pax_cfg t.pstore cbs in
   t.pax <- Some pax;
   Paxos.Replica.start pax;
-  ignore (Engine.spawn t.eng ~node:t.node_id ~name:"smr.executor" (executor_loop t))
+  ignore
+    (Engine.spawn t.eng ~node:t.node_id ~name:(t.name ^ ".executor")
+       (executor_loop t))
 
-let submit t request cb =
-  if not t.leader then cb None
-  else Queue.push (request, cb) t.queue
+let submit t request cb = if t.leader then intake t request cb else cb None
 
-let query t request =
-  t.st_queries <- t.st_queries + 1;
-  t.app.R.App.query ~request
+let query t request = t.app.R.App.query ~request
+
+(* A consistent log-prefix cut: park until every admitted request has
+   executed.  Callable only from a fiber. *)
+let rec quiesce t =
+  if not (Queue.is_empty t.applied_q) then begin
+    Engine.park (fun w -> t.idle_waiters <- w :: t.idle_waiters);
+    quiesce t
+  end
+
+let checkpoint t =
+  quiesce t;
+  let sink = Codec.sink ~initial_capacity:4096 () in
+  t.app.R.App.write_checkpoint sink;
+  Codec.contents sink
+
+let restore t snap =
+  quiesce t;
+  t.app.R.App.read_checkpoint (Codec.source snap)

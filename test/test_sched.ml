@@ -1,6 +1,6 @@
 (* lib/sched: the conflict-aware parallel SMR stacks.
 
-   Four groups:
+   Five groups:
    - the shared conflict oracles (kv grammar, counter, session-envelope
      wrapping incl. the decode-error counter that replaced Eve's silent
      fallback);
@@ -14,7 +14,10 @@
    - the full stack: a 3-replica cluster per mode (replies, replica
      convergence, lease reads), checkpoint/restore through the codec
      path, and one seeded fault-schedule run per mode through the check
-     runner. *)
+     runner;
+   - the ordered-log shell shared with SMR, on its serial and cbase
+     stages: a leader crashing mid-batch answers no client, and forged
+     timer ticks are refused. *)
 
 open Sim
 module R = Rex_core
@@ -398,6 +401,89 @@ let runner_one_seed stack () =
   let o = Check.Runner.run_one cfg in
   check_bool "linearizable, converged and live" true (Check.Runner.passed o)
 
+(* --- the ordered-log shell, serial (smr) and parallel (cbase) stages --- *)
+
+let make_shell ~stack ~seed ~op_cost =
+  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
+  let net = Net.create eng in
+  let rpc = Rpc.create net in
+  let cfg = R.Config.make ~workers:4 ~replicas:[ 0; 1; 2 ] () in
+  let servers =
+    Array.init 3 (fun i ->
+        let paxos_store = Paxos.Store.create () in
+        let factory = Apps.Kyoto.factory ~op_cost () in
+        match stack with
+        | `Smr -> Smr.create net rpc cfg ~node:i ~paxos_store factory
+        | `Cbase ->
+          Sched.Server.create net rpc cfg ~node:i ~paxos_store
+            ~mode:Sched.Exec.Cbase ~conflict:C.kv factory)
+  in
+  Array.iter Smr.start servers;
+  Engine.run ~until:1.0 eng;
+  let leader = Option.get (Array.find_opt Smr.is_primary servers) in
+  (eng, rpc, servers, leader)
+
+let live_digests_agree eng servers =
+  match
+    Array.to_list servers
+    |> List.filter (fun s -> Engine.node_alive eng (Smr.node s))
+    |> List.map Smr.app_digest
+  with
+  | d :: rest -> List.iter (check_string "live replicas agree" d) rest
+  | [] -> Alcotest.fail "no live replicas"
+
+(* A leader crashing while it executes a committed batch must answer
+   nobody: its clients retry and get the new leader's reply.  Twenty
+   one-shot clients, 1 ms per SET, the crash swept across the batch. *)
+let crash_mid_batch stack () =
+  let errs = ref 0 and answered = ref 0 in
+  List.iter
+    (fun k ->
+      let eng, rpc, servers, leader = make_shell ~stack ~seed:21 ~op_cost:1e-3 in
+      let t0 = Engine.clock eng in
+      for c = 0 to 19 do
+        let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
+        ignore
+          (Engine.spawn eng ~node:3 (fun () ->
+               match R.Client.call cl (Printf.sprintf "SET k%d v%d" c c) with
+               | Some "ERR:handler-exception" -> incr errs
+               | Some _ -> incr answered
+               | None -> ()))
+      done;
+      Engine.run ~until:(t0 +. (float_of_int k *. 5e-4)) eng;
+      Engine.crash_node eng (Smr.node leader);
+      Engine.run ~until:(t0 +. 10.) eng;
+      live_digests_agree eng servers)
+    [ 8; 12; 16; 20; 30; 40 ];
+  check_int "no handler-exception reply" 0 !errs;
+  check_int "every client answered" (6 * 20) !answered
+
+(* Only the leader's timer fibers propose timer ticks: a client request
+   carrying the tick prefix is refused, well-formed or not. *)
+let forged_tick_refused stack () =
+  let eng, rpc, servers, leader = make_shell ~stack ~seed:23 ~op_cost:7e-6 in
+  let forged = ref [] and answered = ref 0 in
+  ignore
+    (Engine.spawn eng ~node:3 (fun () ->
+         forged :=
+           List.map
+             (fun req ->
+               Rpc.call rpc ~src:3 ~dst:(Smr.node leader)
+                 ~port:R.Client.client_port req
+               |> Option.map R.Client.decode_reply)
+             [ "\x00TIMER:zz"; "\x00TIMER:0" ];
+         let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
+         for i = 0 to 9 do
+           match R.Client.call cl (Printf.sprintf "SET f%d v%d" i i) with
+           | Some "OK" -> incr answered
+           | Some _ | None -> ()
+         done));
+  Engine.run ~until:10. eng;
+  check_bool "forged ticks refused" true
+    (!forged = [ Some R.Client.Dropped; Some R.Client.Dropped ]);
+  check_int "later SETs answered" 10 !answered;
+  live_digests_agree eng servers
+
 let suite =
   [
     Alcotest.test_case "conflict: kv + counter oracles" `Quick oracle_kv;
@@ -436,4 +522,12 @@ let suite =
       (runner_one_seed Check.Runner.Cbase);
     Alcotest.test_case "stack: check runner passes on early" `Quick
       (runner_one_seed Check.Runner.Early);
+    Alcotest.test_case "shell: crashed smr leader answers nobody" `Quick
+      (crash_mid_batch `Smr);
+    Alcotest.test_case "shell: crashed cbase leader answers nobody" `Quick
+      (crash_mid_batch `Cbase);
+    Alcotest.test_case "shell: smr refuses forged timer ticks" `Quick
+      (forged_tick_refused `Smr);
+    Alcotest.test_case "shell: cbase refuses forged timer ticks" `Quick
+      (forged_tick_refused `Cbase);
   ]
