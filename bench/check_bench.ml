@@ -34,16 +34,14 @@
 module N = Check.Nemesis
 module Runner = Check.Runner
 
+(* The [--stack] converter: an unknown name fails when the command line
+   is parsed. *)
+let stack_conv =
+  Cmdliner.Arg.enum
+    (List.map (fun s -> (s, s)) ("all" :: List.map Runner.stack_name Runner.all_stacks))
+
 let expand_stacks = function
-  | "all" ->
-    [
-      Runner.Rex;
-      Runner.Smr;
-      Runner.Eve;
-      Runner.Sharded;
-      Runner.Cbase;
-      Runner.Early;
-    ]
+  | "all" -> Runner.all_stacks
   | s -> (
     match Runner.stack_of_string s with
     | Some st -> [ st ]

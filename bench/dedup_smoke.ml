@@ -167,105 +167,53 @@ let rex_run ~total ~seed ~check =
       | s :: _ -> R.Server.query s "GET"
       | [] -> "no-live-replica")
 
-let smr_run ~total ~seed ~check =
-  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let config = R.Config.make ~workers:1 ~replicas:[ 0; 1; 2 ] () in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc config ~node:i ~paxos_store:(Paxos.Store.create ())
-          (counter_factory ()))
+(* SMR and Eve: the registry's standard deployment.  Every request
+   shares one conflict key, so Eve batches never overlap a client's
+   retries (SMR ignores the oracle). *)
+let ordered_run kind ~total ~seed ~check =
+  let stack = Check.Stacks.name kind in
+  let d =
+    Check.Stacks.deploy ~seed ~conflict:(fun _ -> [ "k" ]) kind
+      (R.Config.make ~workers:4 ~replicas:Check.Stacks.replicas ())
+      (counter_factory ())
   in
+  let eng = d.Check.Stacks.eng and net = d.Check.Stacks.net in
+  let all = Array.to_list d.Check.Stacks.servers in
   let history =
     if not check then None
     else begin
       let h = Check.History.create eng in
-      Check.History.wire h (List.map Smr.frontend (Array.to_list servers));
+      Check.History.wire h (List.map Smr.frontend all);
       Some h
     end
   in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
   let leader =
-    match Array.find_opt Smr.is_primary servers with
+    match Check.Stacks.leader d with
     | Some s -> s
-    | None -> failwith "smr: no leader elected"
+    | None -> failwith (stack ^ ": no leader elected")
   in
   Net.set_drop_probability net 0.08;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
-  let results, remaining = drive ~eng ~node:3 ~cl ?history ~total () in
+  let node = Check.Stacks.client_node in
+  let cl = R.Client.create d.Check.Stacks.rpc ~me:node ~replicas:Check.Stacks.replicas in
+  let results, remaining = drive ~eng ~node ~cl ?history ~total () in
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
   Engine.crash_node eng (Smr.node leader);
   pump eng remaining ~deadline:(Engine.clock eng +. 180.);
   Net.set_drop_probability net 0.;
   pump eng remaining ~deadline:(Engine.clock eng +. 90.);
   Engine.run ~until:(Engine.clock eng +. 2.) eng;
-  let all = Array.to_list servers in
-  let live = List.filter (fun s -> Engine.node_alive eng (Smr.node s)) all in
-  Option.iter (fun h -> lin_verdict ~stack:"smr" h) history;
-  let sum f = List.fold_left (fun a s -> a + f (Smr.session_table s)) 0 in
-  mk_row ~stack:"smr" ~total ~results
-    ~dup_hits:(fun () -> sum R.Session.Table.dup_hits all)
-    ~evictions:(fun () -> sum R.Session.Table.evictions all)
+  Option.iter (fun h -> lin_verdict ~stack h) history;
+  let sum f = List.fold_left (fun a s -> a + f (Smr.session_table s)) 0 all in
+  mk_row ~stack ~total ~results
+    ~dup_hits:(fun () -> sum R.Session.Table.dup_hits)
+    ~evictions:(fun () -> sum R.Session.Table.evictions)
     ~sessions:(fun () ->
       List.fold_left
         (fun a s -> max a (R.Session.Table.sessions (Smr.session_table s)))
         0 all)
     ~final:
-      (match live with
+      (match Check.Stacks.live d with
       | s :: _ -> Smr.query s "GET"
-      | [] -> "no-live-replica")
-
-let eve_run ~total ~seed ~check =
-  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = Eve.default_config ~workers:4 ~replicas:[ 0; 1; 2 ] () in
-  let servers =
-    Array.init 3 (fun i ->
-        Eve.create net rpc cfg ~node:i ~paxos_store:(Paxos.Store.create ())
-          ~conflict_keys:(fun _ -> [ "k" ])
-          (counter_factory ()))
-  in
-  let history =
-    if not check then None
-    else begin
-      let h = Check.History.create eng in
-      Check.History.wire h (List.map Eve.frontend (Array.to_list servers));
-      Some h
-    end
-  in
-  Array.iter Eve.start servers;
-  Engine.run ~until:1.0 eng;
-  let leader =
-    match Array.find_opt Eve.is_primary servers with
-    | Some s -> s
-    | None -> failwith "eve: no leader elected"
-  in
-  Net.set_drop_probability net 0.08;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
-  let results, remaining = drive ~eng ~node:3 ~cl ?history ~total () in
-  Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  Engine.crash_node eng (Eve.node leader);
-  pump eng remaining ~deadline:(Engine.clock eng +. 180.);
-  Net.set_drop_probability net 0.;
-  pump eng remaining ~deadline:(Engine.clock eng +. 90.);
-  Engine.run ~until:(Engine.clock eng +. 2.) eng;
-  let all = Array.to_list servers in
-  let live = List.filter (fun s -> Engine.node_alive eng (Eve.node s)) all in
-  Option.iter (fun h -> lin_verdict ~stack:"eve" h) history;
-  let sum f = List.fold_left (fun a s -> a + f (Eve.session_table s)) 0 all in
-  mk_row ~stack:"eve" ~total ~results
-    ~dup_hits:(fun () -> sum R.Session.Table.dup_hits)
-    ~evictions:(fun () -> sum R.Session.Table.evictions)
-    ~sessions:(fun () ->
-      List.fold_left
-        (fun a s -> max a (R.Session.Table.sessions (Eve.session_table s)))
-        0 all)
-    ~final:
-      (match live with
-      | s :: _ -> Eve.query s "GET"
       | [] -> "no-live-replica")
 
 let run ?(quick = false) ?(check = false) () =
@@ -281,8 +229,8 @@ let run ?(quick = false) ?(check = false) () =
   let rows =
     [
       rex_run ~total ~seed:4242 ~check;
-      smr_run ~total ~seed:4243 ~check;
-      eve_run ~total ~seed:4244 ~check;
+      ordered_run Check.Stacks.Smr ~total ~seed:4243 ~check;
+      ordered_run Check.Stacks.Eve ~total ~seed:4244 ~check;
     ]
   in
   let ok = ref true in

@@ -15,25 +15,14 @@ let conflict_keys req =
   match Apps.Util.words req with [ "REQ"; i ] -> [ i ] | _ -> []
 
 let run_eve ?(seed = 42) ?(miss_rate = 0.) ~locks ~frac ~warmup ~measure () =
-  let eng = Engine.create ~seed ~cores_per_node:16 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = Eve.default_config ~workers:threads ~miss_rate ~replicas:[ 0; 1; 2 ] () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Eve.create net rpc cfg ~node:i ~paxos_store:stores.(i) ~conflict_keys
-          (Fig8.micro_factory ~frac ~locks ()))
+  let d =
+    Check.Stacks.deploy ~cores_per_node:16 ~miss_rate ~seed ~conflict:conflict_keys
+      Check.Stacks.Eve
+      (R.Config.make ~workers:threads ~replicas:Check.Stacks.replicas ())
+      (Fig8.micro_factory ~frac ~locks ())
   in
-  Array.iter Eve.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary =
-    match Array.find_opt Eve.is_primary servers with
-    | Some p -> p
-    | None ->
-      Engine.run ~until:5.0 eng;
-      Option.get (Array.find_opt Eve.is_primary servers)
-  in
+  let eng = d.Check.Stacks.eng in
+  let primary = Option.get (Check.Stacks.leader d) in
   let total = warmup + measure in
   let completed = ref 0 in
   let t_warm = ref 0. and t_end = ref 0. in
@@ -42,7 +31,7 @@ let run_eve ?(seed = 42) ?(miss_rate = 0.) ~locks ~frac ~warmup ~measure () =
   let rec submit_one () =
     if !launched < total + 512 then begin
       incr launched;
-      Eve.submit primary (Fig8.gen ~locks rng) (fun _ ->
+      Smr.submit primary (Fig8.gen ~locks rng) (fun _ ->
           incr completed;
           if !completed = warmup then t_warm := Engine.clock eng;
           if !completed = total then t_end := Engine.clock eng;
@@ -64,7 +53,14 @@ let run_eve ?(seed = 42) ?(miss_rate = 0.) ~locks ~frac ~warmup ~measure () =
     if !completed >= total then float_of_int measure /. (!t_end -. !t_warm)
     else 0.
   in
-  (throughput, Eve.stats primary)
+  (* The primary's [eve] obs counters. *)
+  let count name =
+    Obs.Metric.value
+      (Obs.counter (Engine.obs eng) ~subsystem:"eve"
+         ~labels:[ ("node", string_of_int (Smr.node primary)) ]
+         name)
+  in
+  (throughput, count)
 
 let run ?(quick = false) () =
   let warmup = if quick then 30 else 100 in
@@ -80,16 +76,17 @@ let run ?(quick = false) () =
       let locks = max 1 (int_of_float (1. /. p)) in
       let native = Fig8.point ~quick ~mode:Harness.Native ~frac:0.1 ~locks () in
       let rex = Fig8.point ~quick ~mode:Harness.Rex ~frac:0.1 ~locks () in
-      let eve_tp, eve_stats = run_eve ~locks ~frac:0.1 ~warmup ~measure () in
+      let eve_tp, count = run_eve ~locks ~frac:0.1 ~warmup ~measure () in
       Printf.printf "%g\t%.0f\t%.0f\t%.0f\t%.1f\n%!" p
         native.Harness.throughput rex.Harness.throughput eve_tp
-        eve_stats.Eve.avg_batch)
+        (float_of_int (count "batched_requests")
+        /. float_of_int (max 1 (count "batches"))))
     [ 0.001; 0.01; 0.05; 0.1; 0.2; 0.5 ];
   Printf.printf "\n== Cost of an imperfect mixer (p = 0.1) ==\n";
   Printf.printf "miss_rate\tEve/s\trollbacks\tbatches\n%!";
   List.iter
     (fun miss_rate ->
-      let tp, st = run_eve ~miss_rate ~locks:10 ~frac:0.1 ~warmup ~measure () in
-      Printf.printf "%.2f\t%.0f\t%d\t%d\n%!" miss_rate tp st.Eve.rollbacks
-        st.Eve.batches)
+      let tp, count = run_eve ~miss_rate ~locks:10 ~frac:0.1 ~warmup ~measure () in
+      Printf.printf "%.2f\t%.0f\t%d\t%d\n%!" miss_rate tp (count "rollbacks")
+        (count "batches"))
     [ 0.0; 0.1; 0.3; 0.6 ]

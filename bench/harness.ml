@@ -361,26 +361,17 @@ let run_rex ?(seed = 42) ?(cores = 16) ?net_latency ?(min_window = 0.)
 (* --- RSM: same Paxos, sequential execution. --- *)
 
 let run_rsm ?(seed = 42) ?(cores = 16) ~factory ~gen ~warmup ~measure () =
-  let eng = Engine.create ~seed ~cores_per_node:cores ~num_nodes:4 () in
+  let d =
+    Check.Stacks.deploy ~cores_per_node:cores ~seed ~conflict:(fun _ -> [])
+      Check.Stacks.Smr
+      (R.Config.make ~propose_interval:2e-4 ~replicas:Check.Stacks.replicas ())
+      factory
+  in
+  let eng = d.Check.Stacks.eng in
+  (* Spans cover the measured run, not the election before it. *)
   arm_tracing eng;
   let tl = arm_timeline () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = R.Config.make ~propose_interval:2e-4 ~replicas:[ 0; 1; 2 ] () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc cfg ~node:i ~paxos_store:stores.(i) factory)
-  in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary =
-    match Array.find_opt Smr.is_primary servers with
-    | Some s -> s
-    | None ->
-      Engine.run ~until:5.0 eng;
-      Option.get (Array.find_opt Smr.is_primary servers)
-  in
+  let primary = Option.get (Check.Stacks.leader d) in
   let total = warmup + measure in
   let completed = ref 0 in
   let t_warm = ref 0. and t_end = ref 0. in

@@ -24,20 +24,20 @@ open Sim
 module R = Rex_core
 module L = Load
 
-type stack = SRex | SSmr | SEve | SCbase | SEarly
+module Stacks = Check.Stacks
 
-let stack_name = function
-  | SRex -> "rex"
-  | SSmr -> "smr"
-  | SEve -> "eve"
-  | SCbase -> "cbase"
-  | SEarly -> "early"
+(* Rex, or one of the registry's ordered-log stacks. *)
+type stack = SRex | Ordered of Stacks.kind
 
-let all_stacks = [ SRex; SSmr; SEve; SCbase; SEarly ]
-let stack_names = List.map stack_name all_stacks
+let stack_name = function SRex -> "rex" | Ordered k -> Stacks.name k
 
-let stack_of_string s =
-  List.find_opt (fun st -> stack_name st = s) all_stacks
+let all_stacks =
+  SRex :: List.map (fun k -> Ordered k) Stacks.[ Smr; Eve; Cbase; Early ]
+
+(* The [--stack] converter: an unknown name fails when the command line
+   is parsed. *)
+let stack_conv =
+  Cmdliner.Arg.enum (List.map (fun st -> (stack_name st, st)) all_stacks)
 
 (* The app under load: striped counters keyed by the request's first
    argument, wire-compatible with Check.Spec.keyed_counter.  The stripes
@@ -118,7 +118,7 @@ type deployed = {
   dp_fronts : R.Frontend.t list;
 }
 
-let replicas = [ 0; 1; 2 ]
+let replicas = Stacks.replicas
 
 let deploy ?record_cost ~seed ~admit stack =
   let { ad_global; ad_per_client; ad_soft; ad_hard } = admit in
@@ -141,46 +141,15 @@ let deploy ?record_cost ~seed ~admit stack =
         Array.to_list (R.Cluster.servers cluster)
         |> List.map R.Server.frontend;
     }
-  | SSmr | SEve | SCbase | SEarly ->
-    let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-    let net = Net.create eng in
-    let rpc = Rpc.create net in
-    let fronts =
-      match stack with
-      | SEve ->
-        let ecfg =
-          Eve.default_config ~workers:4 ~admit_global:ad_global
-            ~admit_per_client:ad_per_client ~admit_queue_soft:ad_soft
-            ~admit_queue_hard:ad_hard ~replicas ()
-        in
-        let servers =
-          Array.init 3 (fun i ->
-              Eve.create net rpc ecfg ~node:i
-                ~paxos_store:(Paxos.Store.create ())
-                ~conflict_keys:conflict (keyed_factory ()))
-        in
-        Array.iter Eve.start servers;
-        Array.to_list servers |> List.map Eve.frontend
-      | SSmr | SCbase | SEarly ->
-        let create i =
-          let paxos_store = Paxos.Store.create () in
-          match stack with
-          | SCbase | SEarly ->
-            let mode =
-              if stack = SCbase then Sched.Exec.Cbase else Sched.Exec.Early
-            in
-            Sched.Server.create net rpc cfg ~node:i ~paxos_store ~mode
-              ~conflict (keyed_factory ())
-          | _ -> Smr.create net rpc cfg ~node:i ~paxos_store (keyed_factory ())
-        in
-        let servers = Array.init 3 create in
-        Array.iter Smr.start servers;
-        Array.to_list servers |> List.map Smr.frontend
-      | SRex -> assert false
-    in
-    Engine.run ~until:1.0 eng;
-    if Engine.clock eng < 1.0 then Engine.run ~until:3.0 eng;
-    { dp_eng = eng; dp_net = net; dp_rpc = rpc; dp_node = 3; dp_fronts = fronts }
+  | Ordered kind ->
+    let d = Stacks.deploy ~seed ~conflict kind cfg (keyed_factory ()) in
+    {
+      dp_eng = d.Stacks.eng;
+      dp_net = d.Stacks.net;
+      dp_rpc = d.Stacks.rpc;
+      dp_node = Stacks.client_node;
+      dp_fronts = Array.to_list d.Stacks.servers |> List.map Smr.frontend;
+    }
 
 (* ---------------------------------------------------------------- *)
 (* The target: the blocking call one arrival performs.  Clients are
@@ -602,16 +571,7 @@ let domains_smoke ~quick =
 (* ---------------------------------------------------------------- *)
 
 let run ?(quick = false) ?(check = false) ?stack () =
-  let stacks =
-    match stack with
-    | None -> all_stacks
-    | Some s -> (
-      match stack_of_string s with
-      | Some st -> [ st ]
-      | None ->
-        Harness.fail "unknown stack %S (expected one of %s)" s
-          (String.concat ", " stack_names))
-  in
+  let stacks = match stack with None -> all_stacks | Some st -> [ st ] in
   ramp ~quick ~check ~stacks;
   if stack = None then begin
     overload_ab ~quick;

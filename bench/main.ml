@@ -405,7 +405,7 @@ let liveops_cmd =
 let check_cmd =
   let stack_arg =
     Arg.(
-      value & opt string "rex"
+      value & opt Check_bench.stack_conv "rex"
       & info [ "stack" ]
           ~doc:
             "Stack under test: rex, smr, eve, shard, cbase, early, or all.")
@@ -498,7 +498,7 @@ let load_cmd =
   let lstack_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some Load_bench.stack_conv) None
       & info [ "stack" ]
           ~doc:
             "Ramp only this stack (rex, smr, eve, cbase, early); default \

@@ -95,19 +95,13 @@ let rex_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
   mk_point (Engine.obs eng) ~nodes ~total:(clients * ops) ~dt ~reads:!reads
 
 let smr_point ?(seed = 42) ~ratio ~fast ~clients ~ops () =
-  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let replicas = [ 0; 1; 2 ] in
-  let cfg = R.Config.make ~workers:1 ~propose_interval:2e-4 ~replicas () in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc cfg ~node:i ~paxos_store:(Paxos.Store.create ())
-          (Apps.Kyoto.factory ()))
+  let replicas = Check.Stacks.replicas in
+  let d =
+    Check.Stacks.deploy ~seed ~conflict:Sched.Conflict.kv Check.Stacks.Smr
+      (R.Config.make ~workers:1 ~propose_interval:2e-4 ~replicas ())
+      (Apps.Kyoto.factory ())
   in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
-  if not (Array.exists Smr.is_primary servers) then Engine.run ~until:5.0 eng;
+  let eng = d.Check.Stacks.eng and rpc = d.Check.Stacks.rpc in
   let cl = Array.init clients (fun _ -> R.Client.create rpc ~me:3 ~replicas) in
   let reads = ref 0 in
   let dt =

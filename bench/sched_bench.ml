@@ -53,34 +53,20 @@ type rrun = {
 }
 
 let make_sched ~seed ~mode ~workers () =
-  let eng = Engine.create ~seed ~cores_per_node:16 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg =
-    R.Config.make ~workers ~propose_interval ~replicas:[ 0; 1; 2 ] ()
+  let d =
+    Check.Stacks.deploy ~cores_per_node:16 ~seed ~conflict:Sched.Conflict.kv
+      (Option.get (Check.Stacks.of_string (Sched.Exec.mode_name mode)))
+      (R.Config.make ~workers ~propose_interval ~replicas:Check.Stacks.replicas ())
+      (Apps.Kyoto.factory ())
   in
-  let servers =
-    Array.init 3 (fun i ->
-        Sched.Server.create net rpc cfg ~node:i
-          ~paxos_store:(Paxos.Store.create ()) ~mode
-          ~conflict:Sched.Conflict.kv
-          (Apps.Kyoto.factory ()))
-  in
-  Array.iter Sched.Server.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary =
-    match Array.find_opt Sched.Server.is_primary servers with
-    | Some p -> p
-    | None ->
-      Engine.run ~until:5.0 eng;
-      Option.get (Array.find_opt Sched.Server.is_primary servers)
-  in
+  let eng = d.Check.Stacks.eng in
+  let primary = Option.get (Check.Stacks.leader d) in
   {
     eng;
-    submit = Sched.Server.submit primary;
+    submit = Smr.submit primary;
     digests =
       (fun () ->
-        Array.to_list servers |> List.map Sched.Server.app_digest);
+        Array.to_list d.Check.Stacks.servers |> List.map Sched.Server.app_digest);
     extras =
       (fun () ->
         (* the primary's execution stage, as it reports itself *)

@@ -88,26 +88,26 @@ let run_eve () =
   let eng = Engine.create ~seed:5 ~cores_per_node:16 ~num_nodes:4 () in
   let net = Net.create eng in
   let rpc = Rpc.create net in
-  let cfg = Eve.default_config ~workers:8 ~replicas:[ 0; 1; 2 ] () in
+  let cfg = R.Config.make ~workers:8 ~replicas:[ 0; 1; 2 ] () in
   let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let conflict_keys req =
+  let conflict req =
     match String.split_on_char ' ' req with [ "INC"; s ] -> [ s ] | _ -> []
   in
   let servers =
     Array.init 3 (fun i ->
-        Eve.create net rpc cfg ~node:i ~paxos_store:stores.(i) ~conflict_keys
+        Eve.create net rpc cfg ~node:i ~paxos_store:stores.(i) ~conflict
           counter_app)
   in
-  Array.iter Eve.start servers;
+  Array.iter Smr.start servers;
   Engine.run ~until:1.0 eng;
-  let primary = Option.get (Array.find_opt Eve.is_primary servers) in
+  let primary = Option.get (Array.find_opt Smr.is_primary servers) in
   let t0 = Engine.clock eng in
   let completed = ref 0 and launched = ref 0 in
   let rng = Rng.create 9 in
   let rec submit_one () =
     if !launched < n_requests then begin
       incr launched;
-      Eve.submit primary
+      Smr.submit primary
         (Printf.sprintf "INC %d" (Rng.int rng 1000))
         (fun _ ->
           incr completed;
@@ -124,12 +124,19 @@ let run_eve () =
   done;
   let dt = Engine.clock eng -. t0 in
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  let digests = Array.to_list servers |> List.map Eve.app_digest in
+  let digests = Array.to_list servers |> List.map Smr.app_digest in
   Printf.printf "%-14s %8.0f req/s   replicas agree: %b   (batches avg %.1f)\n%!"
     "eve"
     (float_of_int n_requests /. dt)
     (List.for_all (( = ) (List.hd digests)) digests)
-    (Eve.stats primary).Eve.avg_batch
+    (let count name =
+       float_of_int
+         (Obs.Metric.value
+            (Obs.counter (Engine.obs eng) ~subsystem:"eve"
+               ~labels:[ ("node", string_of_int (Smr.node primary)) ]
+               name))
+     in
+     count "batched_requests" /. Float.max 1. (count "batches"))
 
 let () =
   Printf.printf "replicating the same app under three models (%d requests):\n"

@@ -13,6 +13,7 @@ let stacks =
     ("cbase", Cbase);
     ("early", Early);
   ]
+let all_stacks = List.map snd stacks
 let stack_of_string s = List.assoc_opt s stacks
 let stack_name s = fst (List.find (fun (_, x) -> x = s) stacks)
 let apps = [ ("kv", Kv); ("counter", Counter) ]
@@ -101,11 +102,12 @@ let counter_factory () : R.App.factory =
 
 (* Timer-less kv store for Eve (which rejects background timers), wire-
    compatible with the register spec. *)
-let plain_kv_factory () : R.App.factory =
+let plain_kv_factory ?(op_cost = 0.) () : R.App.factory =
  fun api ->
   let tbl : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let lock = R.Api.lock api "kv" in
   let execute ~request =
+    if op_cost > 0. then R.Api.work api op_cost;
     Rexsync.Lock.with_lock lock (fun () ->
         match Spec.words request with
         | [ "SET"; k; v ] ->
@@ -298,106 +300,32 @@ let deploy_rex history_of cfg =
         | exception Failure _ -> true);
   }
 
-let deploy_single history_of cfg =
-  (* SMR, Eve and the sched stacks share a harness: three replicas on
-     nodes 0-2, clients on node 3, no restart path (these stacks have no
-     recovery-from-disk). *)
-  let eng = Engine.create ~seed:cfg.seed ~cores_per_node:8 ~num_nodes:4 () in
+let deploy_ordered history_of cfg kind =
+  (* The ordered-log stacks deploy through the registry: three replicas
+     on nodes 0-2, clients on node 3, no restart path (a crash leaves a
+     replica down; the upgrade path below re-creates it over its store). *)
+  let config =
+    R.Config.make ~workers:4 ~replicas:Stacks.replicas
+      ~lease_unsafe:cfg.lease_unsafe ()
+  in
+  let d =
+    Stacks.deploy ~seed:cfg.seed ~conflict:(conflict_keys_for cfg) kind config
+      (factory_for cfg)
+  in
+  let eng = d.Stacks.eng in
   let history = history_of eng in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let replicas = [ 0; 1; 2 ] in
-  (* Each maker returns (fronts, digests, leader, upgrade_node): the
-     server arrays are mutable so [upgrade_node] can replace one replica
-     in place — crash the node, re-create the server over the {e same}
-     Paxos store, replay the committed prefix to rebuild app and session
-     state, start, and re-wire the history tap.  That is the rolling
-     upgrade path for stacks without checkpoint recovery. *)
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  (* SMR, CBASE and early are one ordered-log shell ({!Smr.t}) with
-     different execution stages. *)
-  let make_ordered ~workers create =
-    let config =
-      R.Config.make ~workers ~replicas ~lease_unsafe:cfg.lease_unsafe ()
-    in
-    let mk = create config in
-    let servers = Array.init 3 mk in
-    Array.iter Smr.start servers;
-    let live s = Engine.node_alive eng (Smr.node s) in
-    ( (fun () ->
-        List.map Smr.frontend (Array.to_list servers)),
-      (fun () ->
-        Array.to_list servers |> List.filter live
-        |> List.map Smr.app_digest),
-      (fun () ->
-        Array.to_list servers
-        |> List.find_opt (fun s -> live s && Smr.is_primary s)
-        |> Option.map Smr.node),
-      fun i ->
-        Engine.crash_node eng i;
-        Engine.restart_node eng i;
-        let s = mk i in
-        Smr.replay s;
-        Smr.start s;
-        servers.(i) <- s;
-        History.wire history [ Smr.frontend s ] )
-  in
-  let make_sched mode =
-    make_ordered ~workers:4 (fun config i ->
-        Sched.Server.create net rpc config ~node:i ~paxos_store:stores.(i)
-          ~mode ~conflict:(conflict_keys_for cfg) (factory_for cfg))
-  in
-  let make_eve () =
-    let ecfg =
-      Eve.default_config ~workers:4 ~replicas
-        ~lease_unsafe:cfg.lease_unsafe ()
-    in
-    let mk i =
-      Eve.create net rpc ecfg ~node:i ~paxos_store:stores.(i)
-        ~conflict_keys:(conflict_keys_for cfg) (factory_for cfg)
-    in
-    let servers = Array.init 3 mk in
-    Array.iter Eve.start servers;
-    let live s = Engine.node_alive eng (Eve.node s) in
-    ( (fun () ->
-        List.map Eve.frontend (Array.to_list servers)),
-      (fun () ->
-        Array.to_list servers |> List.filter live
-        |> List.map Eve.app_digest),
-      (fun () ->
-        Array.to_list servers
-        |> List.find_opt (fun s -> live s && Eve.is_primary s)
-        |> Option.map Eve.node),
-      fun i ->
-        Engine.crash_node eng i;
-        Engine.restart_node eng i;
-        let s = mk i in
-        Eve.replay s;
-        Eve.start s;
-        servers.(i) <- s;
-        History.wire history [ Eve.frontend s ] )
-  in
-  let fronts, digests, leader, upgrade_node =
-    match cfg.stack with
-    | Smr ->
-      make_ordered ~workers:1 (fun config i ->
-          Smr.create net rpc config ~node:i ~paxos_store:stores.(i)
-            (factory_for cfg))
-    | Cbase -> make_sched Sched.Exec.Cbase
-    | Early -> make_sched Sched.Exec.Early
-    | _ -> make_eve ()
-  in
-  Engine.run ~until:1.0 eng;
-  if leader () = None then Engine.run ~until:3.0 eng;
-  History.wire history (fronts ());
+  History.wire history (List.map Smr.frontend (Array.to_list d.Stacks.servers));
+  let leader () = Option.map Smr.node (Stacks.leader d) in
   let clients =
-    Array.init cfg.clients (fun _ -> R.Client.create rpc ~me:3 ~replicas)
+    Array.init cfg.clients (fun _ ->
+        R.Client.create d.Stacks.rpc ~me:Stacks.client_node
+          ~replicas:Stacks.replicas)
   in
   let target =
     {
-      Nemesis.net = net;
-      nodes = replicas;
-      others = [ 3 ];
+      Nemesis.net = d.Stacks.net;
+      nodes = Stacks.replicas;
+      others = [ Stacks.client_node ];
       crash = Engine.crash_node eng;
       restart = None;
       leader;
@@ -416,14 +344,15 @@ let deploy_single history_of cfg =
             List.iter
               (fun i ->
                 if not (List.mem i target.Nemesis.down) then begin
-                  upgrade_node i;
+                  History.wire history
+                    [ Smr.frontend (Stacks.upgrade_node d i) ];
                   Engine.run ~until:(Engine.clock eng +. 0.3) eng;
                   let deadline = Engine.clock eng +. 5. in
                   while leader () = None && Engine.clock eng < deadline do
                     Engine.run ~until:(Engine.clock eng +. 0.1) eng
                   done
                 end)
-              replicas);
+              Stacks.replicas);
     };
   {
     eng;
@@ -431,7 +360,7 @@ let deploy_single history_of cfg =
     call =
       (fun cidx ~retries req -> R.Client.call ~retries clients.(cidx) req);
     query = (fun cidx req -> R.Client.query clients.(cidx) req);
-    digests = (fun () -> [ digests () ]);
+    digests = (fun () -> [ List.map Smr.app_digest (Stacks.live d) ]);
     diverged = (fun () -> false);
   }
 
@@ -536,7 +465,10 @@ let deploy_sharded history_of cfg =
 let deploy history_of cfg =
   match cfg.stack with
   | Rex -> deploy_rex history_of cfg
-  | Smr | Eve | Cbase | Early -> deploy_single history_of cfg
+  | Smr -> deploy_ordered history_of cfg Stacks.Smr
+  | Cbase -> deploy_ordered history_of cfg Stacks.Cbase
+  | Early -> deploy_ordered history_of cfg Stacks.Early
+  | Eve -> deploy_ordered history_of cfg Stacks.Eve
   | Sharded ->
     if cfg.app <> Kv then
       invalid_arg "Runner: the sharded stack checks the kv app only";

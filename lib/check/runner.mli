@@ -11,10 +11,18 @@ type stack = Rex | Smr | Eve | Sharded | Cbase | Early
 
 type app = Kv | Counter
 
+val all_stacks : stack list
+(** Every stack, in [check --stack all] order. *)
+
 val stack_of_string : string -> stack option
 val stack_name : stack -> string
 val app_of_string : string -> app option
 val app_name : app -> string
+
+val plain_kv_factory : ?op_cost:float -> unit -> Rex_core.App.factory
+(** A kv store without background timers (so Eve can run it),
+    wire-compatible with {!Spec.register}: [SET k v], [DEL k], [GET k].
+    [op_cost] (default 0) is the modelled CPU time of one request. *)
 
 type config = {
   stack : stack;

@@ -1,14 +1,18 @@
 (** An execute-verify replica in the style of Eve (Kapritsos et al.,
-    OSDI 2012) — the system paper §5 compares Rex against.
+    OSDI 2012) — the system paper §5 compares Rex against — built as one
+    more execution stage of the ordered-log shell ({!Smr.make}).
 
-    A {e mixer} on the leader packs incoming requests into batches whose
-    members are believed non-conflicting (using an application-supplied
-    conflict-key oracle).  The batch itself goes through consensus; every
-    replica then executes the batch {e concurrently and independently} on
-    its own thread pool, snapshots, and sends a state digest to the
-    leader.  If the digests diverge — a conflict the mixer missed — all
-    replicas roll the batch back and re-execute it {e sequentially}, which
-    is deterministic.
+    On the leader, the stage's batch former is a {e mixer}: it packs
+    queued requests into batches whose members are believed
+    non-conflicting (using an application-supplied conflict-key oracle).
+    The batch goes through consensus like any other; every replica then
+    runs the committed batch as a whole: it snapshots its state, executes
+    the batch {e concurrently} on [Config.workers] fibers, and sends a
+    digest of state and responses to the leader.  If the digests diverge
+    — a conflict the mixer missed — all replicas roll the batch back and
+    re-execute it {e sequentially}, which is deterministic.  Only then do
+    replies go out; reads park while a batch is in flight, so they never
+    observe state that may still roll back.
 
     Faithful to the paper's critique, this implementation:
     - treats a whole request as the unit of parallelism (the f = 100%
@@ -23,73 +27,25 @@
       conflict, to study the cost of imperfect mixers (rollback + serial
       re-execution).
 
-    The same {!Rex_core.App.factory} applications run unchanged: their
-    synchronization wrappers take the native path. *)
-
-type t
-
-type config = {
-  replicas : int list;
-  workers : int;  (** executor threads per replica *)
-  batch_max : int;
-  mix_interval : float;
-  miss_rate : float;  (** P(mixer misses a true conflict) *)
-  heartbeat_period : float;
-  election_timeout : float;
-  lease_duration : float;  (** [<= 0.] disables leases *)
-  lease_drift_bound : float;
-  lease_unsafe : bool;  (** testing only: skip the lease check on reads *)
-  admit_global : int;
-      (** frontend admission bounds, mirroring [Rex_core.Config]; the
-          queue-depth probe is the mixer's pending queue.  0 = off *)
-  admit_per_client : int;
-  admit_queue_soft : int;
-  admit_queue_hard : int;
-}
-
-val default_config : ?workers:int -> ?batch_max:int -> ?miss_rate:float ->
-  ?lease_duration:float -> ?lease_drift_bound:float -> ?lease_unsafe:bool ->
-  ?admit_global:int -> ?admit_per_client:int -> ?admit_queue_soft:int ->
-  ?admit_queue_hard:int -> replicas:int list -> unit -> config
-
-type stats = {
-  requests_executed : int;
-  replies_sent : int;
-  batches : int;
-  rollbacks : int;  (** batches that diverged and were re-run serially *)
-  avg_batch : float;
-}
+    Everything else — intake, leases and admission ([Config.t]), replay,
+    checkpoints — is the shell's.  The mixer runs every 200 µs and packs
+    at most 64 requests.  Obs counters under subsystem [eve], labelled by
+    node: [batches], [batched_requests], [rollbacks] (batches that
+    diverged and were re-run serially), [requests_executed]; histogram
+    [batch_size]. *)
 
 val create :
   Sim.Net.t ->
   Sim.Rpc.t ->
-  config ->
+  Rex_core.Config.t ->
   node:int ->
   paxos_store:Paxos.Store.t ->
-  conflict_keys:(string -> string list) ->
+  ?miss_rate:float ->
+  conflict:Sched.Conflict.oracle ->
   Rex_core.App.factory ->
-  t
-(** Raises [Invalid_argument] if the application registers background
-    timers (unsupported by the execute-verify model, §5). *)
-
-val start : t -> unit
-
-val replay : t -> unit
-(** Queue the store's committed prefix for re-execution — the rolling
-    upgrade path: a replacement server [create]d over the retired
-    server's {!Paxos.Store.t} calls this before {!start} to rebuild app
-    and session state (this stack has no checkpoint recovery). *)
-
-val node : t -> int
-val is_primary : t -> bool
-
-val session_table : t -> Rex_core.Session.Table.t
-(** The replica's client-session table (see {!Rex_core.Session}). *)
-
-val frontend : t -> Rex_core.Frontend.t
-(** The replica's client-facing frontend, for history taps. *)
-
-val submit : t -> string -> (string option -> unit) -> unit
-val query : t -> string -> string
-val app_digest : t -> string
-val stats : t -> stats
+  Smr.t
+(** [miss_rate] (default 0): P(mixer misses a true conflict).  [conflict]
+    is the app-level oracle, wrapped with {!Sched.Conflict.with_session}
+    internally.  [Config.propose_interval] is ignored.  Raises
+    [Invalid_argument] if the application registers background timers
+    (unsupported by the execute-verify model, §5). *)

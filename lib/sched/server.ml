@@ -24,7 +24,7 @@ let create net rpc cfg ~node ~paxos_store ~mode ~conflict factory =
   make net rpc cfg ~node ~paxos_store
     ~name:("sched-" ^ Exec.mode_name mode)
     factory
-    ~stage:(fun ~execute ->
+    ~stage:(fun env ->
       (* The session-wrapped oracle prepends the per-client ordering key,
          so one client's requests never execute concurrently. *)
       let exec =
@@ -33,11 +33,13 @@ let create net rpc cfg ~node ~paxos_store ~mode ~conflict factory =
           ~conflict:
             (Conflict.with_session ~obs:(Engine.obs eng) ~subsystem:"sched"
                ~node conflict)
-          ~execute
+          ~execute:env.execute
       in
       {
         batch_max;
-        admit = Exec.admit exec;
-        admit_barrier = Exec.admit_barrier exec;
+        former = fifo;
+        runner =
+          Per_request
+            { admit = Exec.admit exec; admit_barrier = Exec.admit_barrier exec };
         read_gate = (fun request -> Exec.park_until_quiet exec (conflict request));
       })

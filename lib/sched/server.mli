@@ -28,17 +28,10 @@ val create :
     [propose_interval] paces batching, as in the other stacks.  The
     stack is labelled ["sched-cbase"] or ["sched-early"]. *)
 
-(** {1 The shell's own, re-exported: see {!Smr}} *)
+(** {1 The shell's own, re-exported: see {!Smr} for the rest} *)
 
 val start : t -> unit
-val replay : t -> unit
 val node : t -> int
 val is_primary : t -> bool
-val session_table : t -> Rex_core.Session.Table.t
 val frontend : t -> Rex_core.Frontend.t
-val submit : t -> string -> (string option -> unit) -> unit
-val query : t -> string -> string
 val app_digest : t -> string
-val executed_requests : t -> int
-val checkpoint : t -> string
-val restore : t -> string -> unit

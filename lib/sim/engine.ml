@@ -176,6 +176,13 @@ let set_clock_rate t ~node rate =
   t.clock_rate.(node) <- rate;
   t.clock_offset.(node) <- local_now -. (rate *. t.time)
 let node_alive t n = t.alive.(n)
+
+let sender_alive t n =
+  t.alive.(n)
+  &&
+  match t.running with
+  | Some fiber when node_of fiber = n -> fiber.inc = t.node_inc.(n)
+  | Some _ | None -> true
 let busy_time t n = t.busy.(n)
 
 let jittered t at = at +. Rng.float t.jitter_rng 1e-9

@@ -136,6 +136,12 @@ val restart_node : t -> int -> unit
 
 val node_alive : t -> int -> bool
 
+val sender_alive : t -> int -> bool
+(** May code running now speak for [node]?  False when the node is down,
+    or when the running fiber belongs to an earlier incarnation of it (a
+    fiber that caught {!Killed} and carried on); code outside any fiber
+    of the node is judged by the node alone. *)
+
 (** {1 Fiber context} *)
 
 val now : unit -> float

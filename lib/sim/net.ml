@@ -108,7 +108,7 @@ let reset_stats t =
     t.links;
   Hashtbl.iter (fun _ c -> Obs.Metric.reset c) t.port_bytes
 
-let send t ~src ~dst ~port payload =
+let send_live t ~src ~dst ~port payload =
   let len = String.length payload in
   let l = link t ~src ~dst in
   Obs.Metric.incr t.c_msgs;
@@ -149,3 +149,8 @@ let send t ~src ~dst ~port payload =
             Engine.spawn_immediate t.eng ~node:dst ~name:("net:" ^ port)
               (fun () -> h ~src payload))
   end
+
+(* A crashed node sends nothing, and neither does a fiber left over from
+   an earlier incarnation of a restarted one. *)
+let send t ~src ~dst ~port payload =
+  if Engine.sender_alive t.eng src then send_live t ~src ~dst ~port payload

@@ -24,7 +24,8 @@ val register : t -> node:int -> port:string -> handler -> unit
 val send : t -> src:int -> dst:int -> port:string -> string -> unit
 (** Fire-and-forget.  Silently dropped if the destination is down or
     partitioned away, if the loss process fires, or if no handler is
-    registered at delivery time. *)
+    registered at delivery time.  Never sent (and not counted) when the
+    source cannot speak: see {!Engine.sender_alive}. *)
 
 (** {1 Fault injection} *)
 

@@ -3,12 +3,27 @@ module R = Rex_core
 
 let timer_prefix = "\x00TIMER:"
 
+type env = {
+  execute : string -> string;
+  app : R.App.t;
+  leader_hint : unit -> int option;
+}
+
+type runner =
+  | Per_request of {
+      admit : string -> (string -> unit) -> unit;
+      admit_barrier : (unit -> unit) -> unit;
+    }
+  | Per_batch of (instance:int -> string list -> string list)
+
 type stage = {
   batch_max : int;
-  admit : string -> (string -> unit) -> unit;
-  admit_barrier : (unit -> unit) -> unit;
+  former : unit -> string -> bool;
+  runner : runner;
   read_gate : string -> unit;
 }
+
+let fifo () _ = true
 
 type t = {
   eng : Engine.t;
@@ -22,7 +37,7 @@ type t = {
   timers : R.Api.timer_spec array;
   stage : stage;
   executed : int ref;
-  mutable pax : Paxos.Replica.t option;
+  pax : Paxos.Replica.t option ref;
   mutable front : R.Frontend.t option;
   mutable leader : bool;
   mutable leader_epoch : int;
@@ -87,9 +102,10 @@ let advance_applied t =
 
 (* One executor fiber hands committed batches to the stage strictly in
    log order (a stage's admission may park; funnelling through one fiber
-   keeps instance i fully admitted before i+1 regardless).  Timer ticks
-   become stage barriers, so every replica runs the callback at the same
-   log position. *)
+   keeps instance i fully admitted before i+1 regardless).  A
+   per-request runner sees timer ticks as stage barriers, so every
+   replica runs the callback at the same log position; a per-batch
+   runner returns the whole batch's responses at once. *)
 let executor_loop t () =
   let rec next_batch () =
     match Queue.take_opt t.exec_queue with
@@ -98,27 +114,35 @@ let executor_loop t () =
       Engine.park (fun w -> t.exec_waiters <- w :: t.exec_waiters);
       next_batch ()
   in
-  let admit_one remaining (request, cb) =
-    let retire () =
-      decr remaining;
-      advance_applied t
-    in
+  let retire remaining =
+    decr remaining;
+    advance_applied t
+  in
+  let finish remaining cb resp =
+    Option.iter (fun cb -> cb (Some resp)) cb;
+    retire remaining
+  in
+  let admit_one ~admit ~admit_barrier remaining (request, cb) =
     if is_tick request then
-      t.stage.admit_barrier (fun () ->
+      admit_barrier (fun () ->
           run_tick t request;
-          retire ())
-    else
-      t.stage.admit request (fun resp ->
-          Option.iter (fun cb -> cb (Some resp)) cb;
-          retire ())
+          retire remaining)
+    else admit request (finish remaining cb)
   in
   let rec loop () =
     (match next_batch () with
     | instance, [] -> if instance > t.applied then t.applied <- instance
-    | instance, batch ->
+    | instance, batch -> (
       let remaining = ref (List.length batch) in
       Queue.push (instance, remaining) t.applied_q;
-      List.iter (admit_one remaining) batch);
+      match t.stage.runner with
+      | Per_request { admit; admit_barrier } ->
+        List.iter (admit_one ~admit ~admit_barrier remaining) batch
+      | Per_batch run ->
+        List.iter2
+          (fun (_, cb) resp -> finish remaining cb resp)
+          batch
+          (run ~instance (List.map fst batch))));
     loop ()
   in
   loop ()
@@ -150,27 +174,39 @@ let on_committed t instance value =
    the queued batches in log order once it spawns. *)
 let replay t = Paxos.Replica.replay_committed t.pstore (on_committed t)
 
+(* Offer queued requests to the stage's former in FIFO order until
+   [batch_max] joined or the queue ran dry; refused requests keep their
+   order and go back behind the rest, for a later batch. *)
+let form_batch t =
+  let joins = t.stage.former () in
+  let rec go k acc refused =
+    if k = 0 then (acc, refused)
+    else
+      match Queue.take_opt t.queue with
+      | None -> (acc, refused)
+      | Some ((request, _) as r) ->
+        if joins request then go (k - 1) (r :: acc) refused
+        else go k acc (r :: refused)
+  in
+  let items, refused = go t.stage.batch_max [] [] in
+  List.iter (fun r -> Queue.push r t.queue) (List.rev refused);
+  List.rev items
+
 let spawn_leader_fibers t =
   t.leader_epoch <- t.leader_epoch + 1;
   let epoch = t.leader_epoch in
   let live () = t.leader && t.leader_epoch = epoch in
-  (* Batcher: drain the queue into proposals, one instance at a time. *)
+  (* Batcher: the stage's former picks each proposal from the queue, one
+     instance at a time. *)
   ignore
     (Engine.spawn t.eng ~node:t.node_id ~name:(t.name ^ ".batcher") (fun () ->
          while live () do
            Engine.sleep t.cfg.R.Config.propose_interval;
            if live () && t.inflight = None && not (Queue.is_empty t.queue) then begin
-             let pax = Option.get t.pax in
+             let pax = Option.get !(t.pax) in
              if Paxos.Replica.is_leader pax && not (Paxos.Replica.in_flight pax)
              then begin
-               let rec drain k acc =
-                 if k = 0 then List.rev acc
-                 else
-                   match Queue.take_opt t.queue with
-                   | None -> List.rev acc
-                   | Some r -> drain (k - 1) (r :: acc)
-               in
-               let items = drain t.stage.batch_max [] in
+               let items = form_batch t in
                if items <> [] then begin
                  let enc = R.Frontend.encode_batch (List.map fst items) in
                  if Paxos.Replica.propose pax enc then
@@ -224,7 +260,18 @@ let make net rpc cfg ~node ~paxos_store ~name ~stage factory =
     incr executed;
     resp
   in
-  let stage = stage ~execute in
+  let pax = ref None in
+  (* The Paxos replica exists once [start]ed; until then, [default]. *)
+  let on_pax default f () = match !pax with Some p -> f p | None -> default in
+  let leader_hint = on_pax None Paxos.Replica.leader_hint in
+  let stage = stage { execute; app; leader_hint } in
+  (match stage.runner with
+  | Per_batch _ when timers <> [||] ->
+    invalid_arg
+      (name
+     ^ ": background timers need a per-request stage (a per-batch runner \
+        has no barrier to run their ticks at)")
+  | Per_batch _ | Per_request _ -> ());
   let t =
     {
       eng;
@@ -238,7 +285,7 @@ let make net rpc cfg ~node ~paxos_store ~name ~stage factory =
       timers;
       stage;
       executed;
-      pax = None;
+      pax;
       front = None;
       leader = false;
       leader_epoch = 0;
@@ -259,23 +306,10 @@ let make net rpc cfg ~node ~paxos_store ~name ~stage factory =
                 Queue.length t.queue))
          ~reads:
            {
-             R.Frontend.r_peers =
-               (fun () ->
-                 match t.pax with
-                 | Some p -> Paxos.Replica.peers p
-                 | None -> cfg.R.Config.replicas);
+             R.Frontend.r_peers = on_pax cfg.R.Config.replicas Paxos.Replica.peers;
              r_lease_valid =
-               (fun () ->
-                 t.leader
-                 &&
-                 match t.pax with
-                 | Some p -> Paxos.Replica.holds_lease p
-                 | None -> false);
-             r_read_index =
-               (fun () ->
-                 match t.pax with
-                 | Some p -> Paxos.Replica.read_index p
-                 | None -> 0);
+               (fun () -> t.leader && on_pax false Paxos.Replica.holds_lease ());
+             r_read_index = on_pax 0 Paxos.Replica.read_index;
              (* The leader replies to a write only after executing it
                 locally, so once the stage's read gate has let in-flight
                 conflicting writes finish, leader state covers every
@@ -289,11 +323,7 @@ let make net rpc cfg ~node ~paxos_store ~name ~stage factory =
            }
          {
            R.Frontend.is_leader = (fun () -> t.leader);
-           leader_hint =
-             (fun () ->
-               match t.pax with
-               | Some p -> Paxos.Replica.leader_hint p
-               | None -> None);
+           leader_hint;
            enqueue = intake t;
          });
   t
@@ -302,11 +332,16 @@ let make net rpc cfg ~node ~paxos_store ~name ~stage factory =
    time — the sequential execution model of classic SMR. *)
 let create net rpc cfg ~node ~paxos_store factory =
   make net rpc cfg ~node ~paxos_store ~name:"smr" factory
-    ~stage:(fun ~execute ->
+    ~stage:(fun env ->
       {
         batch_max = 64;
-        admit = (fun request k -> k (execute request));
-        admit_barrier = (fun f -> f ());
+        former = fifo;
+        runner =
+          Per_request
+            {
+              admit = (fun request k -> k (env.execute request));
+              admit_barrier = (fun f -> f ());
+            };
         read_gate = ignore;
       })
 
@@ -345,7 +380,7 @@ let start t =
     }
   in
   let pax = Paxos.Replica.create t.net pax_cfg t.pstore cbs in
-  t.pax <- Some pax;
+  t.pax := Some pax;
   Paxos.Replica.start pax;
   ignore
     (Engine.spawn t.eng ~node:t.node_id ~name:(t.name ^ ".executor")

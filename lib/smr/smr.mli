@@ -12,25 +12,58 @@
     {!create} plugs in the serial stage: every replica executes committed
     requests {e sequentially} in a single executor fiber — the
     deterministic sequential execution model that wastes all but one
-    core.  {!Sched.Server} plugs in the conflict-aware parallel stages.
+    core.  {!Sched.Server} plugs in the conflict-aware parallel stages,
+    and {!Eve} the execute-verify stage, which forms conflict-free
+    batches and runs each committed batch as a whole.
 
     The same {!Rex_core.App.factory} runs unchanged: its synchronization
     wrappers see unbound fibers and take the native path. *)
 
 type t
 
+(** What the shell hands a stage when it builds one. *)
+type env = {
+  execute : string -> string;
+      (** The session-wrapped app step: answers ["ERR:handler-exception"]
+          when the handler raises (a node crash still unwinds the
+          caller). *)
+  app : Rex_core.App.t;
+      (** The session-wrapped app itself, for a stage that snapshots and
+          rolls back state. *)
+  leader_hint : unit -> int option;  (** the Paxos replica's leader guess *)
+}
+
+(** How a replica runs one committed batch. *)
+type runner =
+  | Per_request of {
+      admit : string -> (string -> unit) -> unit;
+          (** Take the next committed request (called in log order from
+              the executor fiber); call the continuation with its
+              response once executed. *)
+      admit_barrier : (unit -> unit) -> unit;
+          (** Take a timer tick: run the thunk after everything admitted
+              before it and before everything admitted after. *)
+    }
+  | Per_batch of (instance:int -> string list -> string list)
+      (** Run the whole (non-empty) batch on the executor fiber and
+          return its final responses in order; replies go out and the instance retires
+          only then.  Such a stage cannot run timer ticks: {!make}
+          rejects apps with background timers. *)
+
 type stage = {
   batch_max : int;  (** requests per proposed batch *)
-  admit : string -> (string -> unit) -> unit;
-      (** Take the next committed request (called in log order from the
-          executor fiber); call the continuation with its response once
-          executed. *)
-  admit_barrier : (unit -> unit) -> unit;
-      (** Take a timer tick: run the thunk after everything admitted
-          before it and before everything admitted after. *)
+  former : unit -> string -> bool;
+      (** The leader's batch former: [former ()] starts a batch and is
+          offered the queued requests in FIFO order; a refused request
+          keeps its order and waits, behind the rest, for a later
+          batch. *)
+  runner : runner;
   read_gate : string -> unit;
       (** Park a local read until the state it reads is settled. *)
 }
+
+val fifo : unit -> string -> bool
+(** The default former: every request joins, first in, first out. *)
 
 val make :
   Sim.Net.t ->
@@ -39,13 +72,14 @@ val make :
   node:int ->
   paxos_store:Paxos.Store.t ->
   name:string ->
-  stage:(execute:(string -> string) -> stage) ->
+  stage:(env -> stage) ->
   Rex_core.App.factory ->
   t
-(** The shell around the stage [stage ~execute] builds.  [execute] runs
-    the session-wrapped app, answering ["ERR:handler-exception"] when the
-    handler raises (a node crash still unwinds the caller).  [name]
-    labels the session table and the shell's fibers. *)
+(** The shell around the stage [stage env] builds.  [name] labels the
+    session table and the shell's fibers.  [propose_interval] paces the
+    batcher, which runs on the leader only.
+    Raises [Invalid_argument] for an app with background timers under a
+    {!Per_batch} stage. *)
 
 val create :
   Sim.Net.t ->

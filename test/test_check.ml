@@ -354,11 +354,100 @@ let upgrade_nemesis_all_stacks () =
     [ Runner.Rex; Runner.Smr; Runner.Eve; Runner.Cbase; Runner.Early;
       Runner.Sharded ]
 
+(* An Eve replica re-created over its store replays batches whose
+   verdicts were decided long ago, possibly as the new leader: it must
+   get those verdicts from the peers that hold them, since no peer sends
+   a digest for an old batch again.  These kv seeds of the upgrade sweep
+   wedge without that. *)
+let eve_upgrade_replays_decided_batches () =
+  List.iter
+    (fun seed ->
+      let o =
+        Runner.run_one
+          (Runner.default_config ~stack:Runner.Eve ~app:Runner.Kv
+             ~nemesis:N.Upgrades ~seed ())
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: linearizable, converged and live" seed)
+        true (Runner.passed o))
+    [ 1005; 1006; 1009 ]
+
 let topo_noop_without_hooks () =
   (* A split profile on an unsharded stack must degrade to a clean run,
      so `--nemesis all` stays runnable everywhere. *)
   let o = Runner.run_one (topo_cfg ~stack:Runner.Smr ~nemesis:N.Splits ~seed:75 ()) in
   Alcotest.(check bool) "split profile no-ops on smr" true (Runner.passed o)
+
+(* --- The stack registry --- *)
+
+module Stacks = Check.Stacks
+module R = Rex_core
+
+(* Every registry name deploys a group that elects a leader, commits
+   writes, converges, and answers a lease read on the leader. *)
+let registry_stack kind () =
+  let name = Stacks.name kind in
+  Alcotest.(check (option string))
+    "name round-trips" (Some name)
+    (Option.map Stacks.name (Stacks.of_string name));
+  let d =
+    Stacks.deploy ~seed:31 ~conflict:Sched.Conflict.kv kind
+      (R.Config.make ~workers:4 ~replicas:Stacks.replicas ())
+      (Runner.plain_kv_factory ())
+  in
+  let eng = d.Stacks.eng in
+  let leader =
+    match Stacks.leader d with
+    | Some l -> Smr.node l
+    | None -> Alcotest.fail (name ^ ": no leader elected")
+  in
+  let n = 20 and acks = ref 0 and read = ref None in
+  let cl = R.Client.create d.Stacks.rpc ~me:Stacks.client_node ~replicas:Stacks.replicas in
+  ignore
+    (Sim.Engine.spawn eng ~node:Stacks.client_node (fun () ->
+         for i = 0 to n - 1 do
+           match R.Client.call cl (Printf.sprintf "SET k%d v%d" (i mod 4) i) with
+           | Some "OK" -> incr acks
+           | Some _ | None -> ()
+         done;
+         read := R.Client.query ~on:leader cl "GET k3"));
+  Sim.Engine.run ~until:(Sim.Engine.clock eng +. 10.) eng;
+  Alcotest.(check int) (name ^ ": writes committed") n !acks;
+  (match List.map Smr.app_digest (Stacks.live d) with
+  | [ a; b; c ] ->
+    Alcotest.(check bool) (name ^ ": replicas converge") true (a = b && b = c)
+  | _ -> Alcotest.fail (name ^ ": a replica is down"));
+  Alcotest.(check (option string)) (name ^ ": read sees the last write")
+    (Some "v19") !read;
+  let lease_reads =
+    Obs.Metric.value
+      (Obs.counter (Sim.Engine.obs eng) ~subsystem:"frontend"
+         ~labels:[ ("node", string_of_int leader) ]
+         "reads_fast_lease")
+  in
+  Alcotest.(check int) (name ^ ": served under the lease") 1 lease_reads
+
+(* A stack name the registry does not know fails at command-line parse
+   time, on both subcommands that take one. *)
+let registry_rejects_unknown () =
+  Alcotest.(check bool) "of_string" true (Stacks.of_string "raft" = None);
+  let rejects conv name =
+    match Cmdliner.Arg.conv_parser conv name with
+    | Error _ -> true
+    | Ok _ -> false
+  in
+  Alcotest.(check bool) "check --stack raft" true
+    (rejects Bench_lib.Check_bench.stack_conv "raft");
+  Alcotest.(check bool) "load --stack raft" true
+    (rejects Bench_lib.Load_bench.stack_conv "raft");
+  List.iter
+    (fun kind ->
+      let name = Stacks.name kind in
+      Alcotest.(check bool) ("check --stack " ^ name) false
+        (rejects Bench_lib.Check_bench.stack_conv name);
+      Alcotest.(check bool) ("load --stack " ^ name) false
+        (rejects Bench_lib.Load_bench.stack_conv name))
+    Stacks.all
 
 let suite =
   [
@@ -395,4 +484,16 @@ let suite =
       upgrade_nemesis_all_stacks;
     Alcotest.test_case "nemesis: topology no-op without hooks" `Quick
       topo_noop_without_hooks;
+    Alcotest.test_case "regression: eve upgrade replays decided batches" `Quick
+      eve_upgrade_replays_decided_batches;
   ]
+  @ List.map
+      (fun kind ->
+        Alcotest.test_case
+          ("stacks: " ^ Stacks.name kind ^ " deploys, commits, reads")
+          `Quick (registry_stack kind))
+      Stacks.all
+  @ [
+      Alcotest.test_case "stacks: unknown name rejected at parse" `Quick
+        registry_rejects_unknown;
+    ]

@@ -145,31 +145,14 @@ let no_two_leases_during_churn () =
 
 (* --- Stack level: an SMR cluster with real clients --- *)
 
-type smr_cluster = {
-  seng : Engine.t;
-  snet : Net.t;
-  srpc : Rpc.t;
-  servers : Smr.t array;
-  sreplicas : int list;
-}
+module Stacks = Check.Stacks
 
-let client_node = 3
+let client_node = Stacks.client_node
 
-let mk_smr ?(seed = 42) () =
-  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let replicas = [ 0; 1; 2 ] in
-  let cfg = R.Config.make ~workers:1 ~propose_interval:2e-4 ~replicas () in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc cfg ~node:i ~paxos_store:(Paxos.Store.create ())
-          (Apps.Kyoto.factory ()))
-  in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
-  if not (Array.exists Smr.is_primary servers) then Engine.run ~until:5.0 eng;
-  { seng = eng; snet = net; srpc = rpc; servers; sreplicas = replicas }
+let mk_smr ?(seed = 42) () : Stacks.deployed =
+  Stacks.deploy ~seed ~conflict:Sched.Conflict.kv Stacks.Smr
+    (R.Config.make ~workers:1 ~propose_interval:2e-4 ~replicas:Stacks.replicas ())
+    (Apps.Kyoto.factory ())
 
 (* Run [f] to completion in a client fiber, pumping the engine. *)
 let in_fiber eng ~node f =
@@ -186,12 +169,9 @@ let in_fiber eng ~node f =
   Alcotest.(check bool) "client fiber finished" true !fin
 
 let smr_primary s =
-  let rec find i =
-    if i >= Array.length s.servers then Alcotest.fail "no SMR primary"
-    else if Smr.is_primary s.servers.(i) then i
-    else find (i + 1)
-  in
-  find 0
+  match Stacks.leader s with
+  | Some p -> Smr.node p
+  | None -> Alcotest.fail "no SMR primary"
 
 let frontend_count eng ~node name =
   Obs.Metric.value
@@ -205,59 +185,59 @@ let frontend_count eng ~node name =
    primary and sees the newer committed write. *)
 let fencing_after_primary_isolation () =
   let s = mk_smr ~seed:17 () in
-  let cl = R.Client.create s.srpc ~me:client_node ~replicas:s.sreplicas in
-  in_fiber s.seng ~node:client_node (fun () ->
+  let cl = R.Client.create s.rpc ~me:client_node ~replicas:Stacks.replicas in
+  in_fiber s.eng ~node:client_node (fun () ->
       Alcotest.(check (option string)) "v1 acked" (Some "OK")
         (R.Client.call cl "SET k v1"));
   let stale = smr_primary s in
   List.iter
-    (fun i -> if i <> stale then Net.partition s.snet stale i)
-    s.sreplicas;
-  Engine.run ~until:(Engine.clock s.seng +. 0.5) s.seng;
+    (fun i -> if i <> stale then Net.partition s.net stale i)
+    Stacks.replicas;
+  Engine.run ~until:(Engine.clock s.eng +. 0.5) s.eng;
   (* A second client commits v2 on the healthy side. *)
-  let cl2 = R.Client.create s.srpc ~me:client_node ~replicas:s.sreplicas in
-  in_fiber s.seng ~node:client_node (fun () ->
+  let cl2 = R.Client.create s.rpc ~me:client_node ~replicas:Stacks.replicas in
+  in_fiber s.eng ~node:client_node (fun () ->
       Alcotest.(check (option string)) "v2 acked on healthy side" (Some "OK")
         (R.Client.call cl2 "SET k v2"));
   (* Read aimed at the stale primary: fenced local path, no quorum, so
      the client rotates until the new primary answers — never v1. *)
   let got = ref None in
-  in_fiber s.seng ~node:client_node (fun () ->
+  in_fiber s.eng ~node:client_node (fun () ->
       got := R.Client.query ~on:stale cl "GET k");
   Alcotest.(check (option string)) "read fenced: sees v2, not v1"
     (Some "v2") !got;
-  Net.heal_all s.snet
+  Net.heal_all s.net
 
 (* Quorum read from a secondary: a non-primary replica serves a
    linearizable read via a majority read-index round — no redirect, no
    consensus slot — and the obs counter proves the route taken. *)
 let quorum_read_from_secondary () =
   let s = mk_smr ~seed:23 () in
-  let cl = R.Client.create s.srpc ~me:client_node ~replicas:s.sreplicas in
+  let cl = R.Client.create s.rpc ~me:client_node ~replicas:Stacks.replicas in
   let primary = smr_primary s in
-  let secondary = List.find (fun i -> i <> primary) s.sreplicas in
-  in_fiber s.seng ~node:client_node (fun () ->
+  let secondary = List.find (fun i -> i <> primary) Stacks.replicas in
+  in_fiber s.eng ~node:client_node (fun () ->
       Alcotest.(check (option string)) "write acked" (Some "OK")
         (R.Client.call cl "SET q v7");
       Alcotest.(check (option string)) "secondary serves latest value"
         (Some "v7")
         (R.Client.query ~on:secondary cl "GET q"));
   Alcotest.(check bool) "served via the quorum-read route" true
-    (frontend_count s.seng ~node:secondary "reads_fast_quorum" > 0)
+    (frontend_count s.eng ~node:secondary "reads_fast_quorum" > 0)
 
 (* Lease read on the primary: served locally under the lease, counted. *)
 let lease_read_on_primary () =
   let s = mk_smr ~seed:29 () in
-  let cl = R.Client.create s.srpc ~me:client_node ~replicas:s.sreplicas in
+  let cl = R.Client.create s.rpc ~me:client_node ~replicas:Stacks.replicas in
   let primary = smr_primary s in
-  in_fiber s.seng ~node:client_node (fun () ->
+  in_fiber s.eng ~node:client_node (fun () ->
       Alcotest.(check (option string)) "write acked" (Some "OK")
         (R.Client.call cl "SET p v9");
       Alcotest.(check (option string)) "primary serves latest value"
         (Some "v9")
         (R.Client.query ~on:primary cl "GET p"));
   Alcotest.(check bool) "served via the lease route" true
-    (frontend_count s.seng ~node:primary "reads_fast_lease" > 0)
+    (frontend_count s.eng ~node:primary "reads_fast_lease" > 0)
 
 (* Rex: the primary's fast-path read is gated on commit of the observed
    speculative cut, so a query right after an acked write sees it. *)
@@ -471,11 +451,11 @@ let prop_reads_see_latest_write =
     QCheck.(int_range 0 1000)
     (fun case_seed ->
       let s = mk_smr ~seed:(1000 + case_seed) () in
-      let cl = R.Client.create s.srpc ~me:client_node ~replicas:s.sreplicas in
+      let cl = R.Client.create s.rpc ~me:client_node ~replicas:Stacks.replicas in
       let rng = Rng.create (case_seed + 1) in
       let model = Hashtbl.create 8 in
       let ok = ref true in
-      in_fiber s.seng ~node:client_node (fun () ->
+      in_fiber s.eng ~node:client_node (fun () ->
           for i = 0 to 11 do
             let key = Printf.sprintf "pk%d" (Rng.int rng 4) in
             if Rng.float rng 1.0 < 0.5 then begin
@@ -485,7 +465,7 @@ let prop_reads_see_latest_write =
               | None -> ()  (* unacked: outcome ambiguous, skip *)
             end
             else begin
-              let on = Rng.pick rng s.sreplicas in
+              let on = Rng.pick rng Stacks.replicas in
               let expect =
                 Option.value (Hashtbl.find_opt model key) ~default:"NOTFOUND"
               in

@@ -279,18 +279,16 @@ let query_semantics () =
     (R.Cluster.servers cluster);
   ignore primary
 
+(* The SMR baseline through the stack registry's standard deployment. *)
+module Stacks = Check.Stacks
+
+let smr ~seed ?cores_per_node factory =
+  Stacks.deploy ~seed ?cores_per_node ~conflict:(fun _ -> []) Stacks.Smr (cfg ())
+    factory
+
 let smr_baseline_replicates () =
-  let eng = Engine.create ~seed:31 ~cores_per_node:16 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let config = cfg () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc config ~node:i ~paxos_store:stores.(i) (test_app ()))
-  in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
+  let d = smr ~seed:31 ~cores_per_node:16 (test_app ()) in
+  let eng = d.Stacks.eng and rpc = d.Stacks.rpc and servers = d.Stacks.servers in
   let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
   let answered = ref 0 in
   ignore
@@ -500,19 +498,12 @@ let suite =
    pseudo-requests, so every replica runs the callback at the same point
    in the request order. *)
 let smr_timers_serialized () =
-  let eng = Engine.create ~seed:71 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let config = cfg () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc config ~node:i ~paxos_store:stores.(i)
-          (Apps.Leveldb.factory ~memtable_limit:4 ~compaction_interval:5e-3 ()))
+  let d =
+    smr ~seed:71
+      (Apps.Leveldb.factory ~memtable_limit:4 ~compaction_interval:5e-3 ())
   in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary = Option.get (Array.find_opt Smr.is_primary servers) in
+  let eng = d.Stacks.eng and servers = d.Stacks.servers in
+  let primary = Option.get (Stacks.leader d) in
   let done_ = ref 0 in
   ignore
     (Engine.spawn eng ~node:(Smr.node primary) (fun () ->
@@ -530,34 +521,19 @@ let smr_timers_serialized () =
   Alcotest.(check string) "0=2" ds.(0) ds.(2)
 
 let smr_failover () =
-  let eng = Engine.create ~seed:73 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let config = cfg () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let mk i =
-    let s = Smr.create net rpc config ~node:i ~paxos_store:stores.(i) (test_app ()) in
-    Smr.start s;
-    s
-  in
-  let servers = Array.init 3 mk in
-  Engine.run ~until:1.0 eng;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
+  let d = smr ~seed:73 (test_app ()) in
+  let eng = d.Stacks.eng in
+  let cl = R.Client.create d.Stacks.rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
   let phase n = drive_requests cl (List.init n (fun i -> Printf.sprintf "INC s%d" (i mod 3))) eng 3 in
   ignore (phase 20);
-  let leader = Option.get (Array.find_opt Smr.is_primary servers) in
-  Engine.crash_node eng (Smr.node leader);
+  Engine.crash_node eng (Smr.node (Option.get (Stacks.leader d)));
   Engine.run ~until:(Engine.clock eng +. 2.0) eng;
   let results = phase 20 in
   Alcotest.(check bool) "service resumed after SMR failover" true
     (List.exists (fun (_, r) -> r <> None) results);
   (* note: the crashed node stays down; the two live replicas agree *)
   Engine.run ~until:(Engine.clock eng +. 1.0) eng;
-  let live =
-    Array.to_list servers
-    |> List.filter (fun s -> Engine.node_alive eng (Smr.node s))
-  in
-  match List.map Smr.app_digest live with
+  match List.map Smr.app_digest (Stacks.live d) with
   | d :: rest -> List.iter (Alcotest.(check string) "smr live agree" d) rest
   | [] -> Alcotest.fail "no live replicas"
 

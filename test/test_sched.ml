@@ -15,9 +15,9 @@
      convergence, lease reads), checkpoint/restore through the codec
      path, and one seeded fault-schedule run per mode through the check
      runner;
-   - the ordered-log shell shared with SMR, on its serial and cbase
-     stages: a leader crashing mid-batch answers no client, and forged
-     timer ticks are refused. *)
+   - the ordered-log shell shared with SMR and Eve, on its serial, cbase
+     and execute-verify stages: a leader crashing mid-batch answers no
+     client, and forged timer ticks are refused. *)
 
 open Sim
 module R = Rex_core
@@ -313,26 +313,13 @@ let prop_digest_matches_serial mode =
 (* --- the full stack --- *)
 
 let make_cluster ~mode =
-  let eng = Engine.create ~seed:5 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = R.Config.make ~workers:4 ~replicas:[ 0; 1; 2 ] () in
-  let servers =
-    Array.init 3 (fun i ->
-        Sched.Server.create net rpc cfg ~node:i
-          ~paxos_store:(Paxos.Store.create ()) ~mode ~conflict:C.kv
-          (Apps.Kyoto.factory ()))
+  let d =
+    Check.Stacks.deploy ~seed:5 ~conflict:C.kv
+      (Option.get (Check.Stacks.of_string (Sched.Exec.mode_name mode)))
+      (R.Config.make ~workers:4 ~replicas:Check.Stacks.replicas ())
+      (Apps.Kyoto.factory ())
   in
-  Array.iter Sched.Server.start servers;
-  Engine.run ~until:1.0 eng;
-  let primary =
-    match Array.find_opt Sched.Server.is_primary servers with
-    | Some p -> p
-    | None ->
-      Engine.run ~until:5.0 eng;
-      Option.get (Array.find_opt Sched.Server.is_primary servers)
-  in
-  (eng, servers, primary)
+  (d.Check.Stacks.eng, d.Check.Stacks.servers, Option.get (Check.Stacks.leader d))
 
 let cluster_smoke mode () =
   let eng, servers, primary = make_cluster ~mode in
@@ -341,7 +328,7 @@ let cluster_smoke mode () =
   ignore
     (Engine.spawn eng ~node:3 (fun () ->
          for i = 0 to n - 1 do
-           Sched.Server.submit primary
+           Smr.submit primary
              (Printf.sprintf "SET s%d v%d" (i mod 7) i)
              (fun resp -> if resp <> None then incr replies)
          done));
@@ -351,7 +338,7 @@ let cluster_smoke mode () =
      conflicting in-flight writes) *)
   ignore
     (Engine.spawn eng ~node:3 (fun () ->
-         read := Sched.Server.query primary "GET s0"));
+         read := Smr.query primary "GET s0"));
   Engine.run ~until:40. eng;
   check_string "lease read sees the committed write" "v35" !read;
   let d = Sched.Server.app_digest servers.(0) in
@@ -359,7 +346,7 @@ let cluster_smoke mode () =
     (fun s -> check_string "replicas converged" d (Sched.Server.app_digest s))
     servers;
   check_bool "executed on every replica" true
-    (Array.for_all (fun s -> Sched.Server.executed_requests s >= n) servers)
+    (Array.for_all (fun s -> Smr.executed_requests s >= n) servers)
 
 let checkpoint_roundtrip () =
   let eng, _servers, primary = make_cluster ~mode:Sched.Exec.Cbase in
@@ -368,7 +355,7 @@ let checkpoint_roundtrip () =
     (Engine.spawn eng ~node:3 (fun () ->
          let put i =
            let resp = ref None in
-           Sched.Server.submit primary
+           Smr.submit primary
              (Printf.sprintf "SET c%d v%d" i i)
              (fun r -> resp := r);
            while !resp = None do
@@ -379,13 +366,13 @@ let checkpoint_roundtrip () =
            put i
          done;
          d0 := Sched.Server.app_digest primary;
-         snap := Sched.Server.checkpoint primary;
+         snap := Smr.checkpoint primary;
          phase := `Snapped;
          (* mutate past the snapshot, then rewind *)
          put 10;
          check_bool "state moved past the snapshot" true
            (Sched.Server.app_digest primary <> !d0);
-         Sched.Server.restore primary !snap;
+         Smr.restore primary !snap;
          phase := `Restored));
   Engine.run ~until:60. eng;
   check_bool "restore completed" true (!phase = `Restored);
@@ -401,27 +388,25 @@ let runner_one_seed stack () =
   let o = Check.Runner.run_one cfg in
   check_bool "linearizable, converged and live" true (Check.Runner.passed o)
 
-(* --- the ordered-log shell, serial (smr) and parallel (cbase) stages --- *)
+(* --- the ordered-log shell: serial (smr), parallel (cbase) and
+   execute-verify (eve) stages --- *)
 
 let make_shell ~stack ~seed ~op_cost =
-  let eng = Engine.create ~seed ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = R.Config.make ~workers:4 ~replicas:[ 0; 1; 2 ] () in
-  let servers =
-    Array.init 3 (fun i ->
-        let paxos_store = Paxos.Store.create () in
-        let factory = Apps.Kyoto.factory ~op_cost () in
-        match stack with
-        | `Smr -> Smr.create net rpc cfg ~node:i ~paxos_store factory
-        | `Cbase ->
-          Sched.Server.create net rpc cfg ~node:i ~paxos_store
-            ~mode:Sched.Exec.Cbase ~conflict:C.kv factory)
+  (* Eve rejects background timers: it runs the timer-less kv. *)
+  let factory =
+    match stack with
+    | Check.Stacks.Eve -> Check.Runner.plain_kv_factory ~op_cost ()
+    | Check.Stacks.(Smr | Cbase | Early) -> Apps.Kyoto.factory ~op_cost ()
   in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
-  let leader = Option.get (Array.find_opt Smr.is_primary servers) in
-  (eng, rpc, servers, leader)
+  let d =
+    Check.Stacks.deploy ~seed ~conflict:C.kv stack
+      (R.Config.make ~workers:4 ~replicas:Check.Stacks.replicas ())
+      factory
+  in
+  ( d.Check.Stacks.eng,
+    d.Check.Stacks.rpc,
+    d.Check.Stacks.servers,
+    Option.get (Check.Stacks.leader d) )
 
 let live_digests_agree eng servers =
   match
@@ -523,11 +508,15 @@ let suite =
     Alcotest.test_case "stack: check runner passes on early" `Quick
       (runner_one_seed Check.Runner.Early);
     Alcotest.test_case "shell: crashed smr leader answers nobody" `Quick
-      (crash_mid_batch `Smr);
+      (crash_mid_batch Check.Stacks.Smr);
     Alcotest.test_case "shell: crashed cbase leader answers nobody" `Quick
-      (crash_mid_batch `Cbase);
+      (crash_mid_batch Check.Stacks.Cbase);
+    Alcotest.test_case "shell: crashed eve leader answers nobody" `Quick
+      (crash_mid_batch Check.Stacks.Eve);
     Alcotest.test_case "shell: smr refuses forged timer ticks" `Quick
-      (forged_tick_refused `Smr);
+      (forged_tick_refused Check.Stacks.Smr);
     Alcotest.test_case "shell: cbase refuses forged timer ticks" `Quick
-      (forged_tick_refused `Cbase);
+      (forged_tick_refused Check.Stacks.Cbase);
+    Alcotest.test_case "shell: eve refuses forged timer ticks" `Quick
+      (forged_tick_refused Check.Stacks.Eve);
   ]

@@ -343,92 +343,45 @@ let smr_counter_factory () : R.App.factory =
     digest = (fun () -> string_of_int !n);
   }
 
-let fault_exactly_once_smr () =
+(* SMR and Eve through the registry's standard deployment; one shared
+   conflict key keeps Eve's batches from overlapping a client's retries
+   (SMR ignores the oracle). *)
+let fault_exactly_once_ordered kind ~seed () =
   let total = 30 in
-  let eng = Engine.create ~seed:2029 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let config = R.Config.make ~workers:1 ~replicas:[ 0; 1; 2 ] () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Smr.create net rpc config ~node:i ~paxos_store:stores.(i)
-          (smr_counter_factory ()))
+  let stack = Check.Stacks.name kind in
+  let d =
+    Check.Stacks.deploy ~seed ~conflict:(fun _ -> [ "k" ]) kind
+      (R.Config.make ~workers:4 ~replicas:Check.Stacks.replicas ())
+      (smr_counter_factory ())
   in
-  Array.iter Smr.start servers;
-  Engine.run ~until:1.0 eng;
+  let eng = d.Check.Stacks.eng and net = d.Check.Stacks.net in
   let leader =
-    match Array.find_opt Smr.is_primary servers with
+    match Check.Stacks.leader d with
     | Some s -> s
-    | None -> Alcotest.fail "smr: no leader elected"
+    | None -> Alcotest.fail (stack ^ ": no leader elected")
   in
   Net.set_drop_probability net 0.08;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
+  let node = Check.Stacks.client_node in
+  let cl =
+    R.Client.create d.Check.Stacks.rpc ~me:node ~replicas:Check.Stacks.replicas
+  in
   let remaining = ref total in
-  let results = drive ~eng ~node:3 ~cl ~total ~remaining in
+  let results = drive ~eng ~node ~cl ~total ~remaining in
   Engine.run ~until:(Engine.clock eng +. 0.5) eng;
   Engine.crash_node eng (Smr.node leader);
   pump eng remaining ~deadline:(Engine.clock eng +. 60.);
   Net.set_drop_probability net 0.;
   pump eng remaining ~deadline:(Engine.clock eng +. 30.);
-  check_exactly_once ~stack:"smr" ~total ~remaining ~results ~dup_hits:(fun () ->
+  check_exactly_once ~stack ~total ~remaining ~results ~dup_hits:(fun () ->
       Array.fold_left
         (fun acc s -> acc + R.Session.Table.dup_hits (Smr.session_table s))
-        0 servers);
+        0 d.Check.Stacks.servers);
   Engine.run ~until:(Engine.clock eng +. 2.) eng;
-  let live =
-    Array.to_list servers
-    |> List.filter (fun s -> Engine.node_alive eng (Smr.node s))
-  in
   List.iter
     (fun s ->
       Alcotest.(check string)
-        "smr: final counter" (string_of_int total) (Smr.query s "GET"))
-    live
-
-let fault_exactly_once_eve () =
-  let total = 30 in
-  let eng = Engine.create ~seed:2039 ~cores_per_node:8 ~num_nodes:4 () in
-  let net = Net.create eng in
-  let rpc = Rpc.create net in
-  let cfg = Eve.default_config ~workers:4 ~replicas:[ 0; 1; 2 ] () in
-  let stores = Array.init 3 (fun _ -> Paxos.Store.create ()) in
-  let servers =
-    Array.init 3 (fun i ->
-        Eve.create net rpc cfg ~node:i ~paxos_store:stores.(i)
-          ~conflict_keys:(fun _ -> [ "k" ])
-          (smr_counter_factory ()))
-  in
-  Array.iter Eve.start servers;
-  Engine.run ~until:1.0 eng;
-  let leader =
-    match Array.find_opt Eve.is_primary servers with
-    | Some s -> s
-    | None -> Alcotest.fail "eve: no leader elected"
-  in
-  Net.set_drop_probability net 0.08;
-  let cl = R.Client.create rpc ~me:3 ~replicas:[ 0; 1; 2 ] in
-  let remaining = ref total in
-  let results = drive ~eng ~node:3 ~cl ~total ~remaining in
-  Engine.run ~until:(Engine.clock eng +. 0.5) eng;
-  Engine.crash_node eng (Eve.node leader);
-  pump eng remaining ~deadline:(Engine.clock eng +. 60.);
-  Net.set_drop_probability net 0.;
-  pump eng remaining ~deadline:(Engine.clock eng +. 30.);
-  check_exactly_once ~stack:"eve" ~total ~remaining ~results ~dup_hits:(fun () ->
-      Array.fold_left
-        (fun acc s -> acc + R.Session.Table.dup_hits (Eve.session_table s))
-        0 servers);
-  Engine.run ~until:(Engine.clock eng +. 2.) eng;
-  let live =
-    Array.to_list servers
-    |> List.filter (fun s -> Engine.node_alive eng (Eve.node s))
-  in
-  List.iter
-    (fun s ->
-      Alcotest.(check string)
-        "eve: final counter" (string_of_int total) (Eve.query s "GET"))
-    live
+        (stack ^ ": final counter") (string_of_int total) (Smr.query s "GET"))
+    (Check.Stacks.live d)
 
 (* --- Deterministic duplicate: the same envelope sent twice --- *)
 
@@ -549,7 +502,7 @@ let suite =
     Alcotest.test_case "exactly-once under faults: rex" `Quick
       fault_exactly_once_rex;
     Alcotest.test_case "exactly-once under faults: smr" `Quick
-      fault_exactly_once_smr;
+      (fault_exactly_once_ordered Check.Stacks.Smr ~seed:2029);
     Alcotest.test_case "exactly-once under faults: eve" `Quick
-      fault_exactly_once_eve;
+      (fault_exactly_once_ordered Check.Stacks.Eve ~seed:2039);
   ]

@@ -316,6 +316,37 @@ let net_crashed_node_drops () =
                 Net.send net ~src:0 ~dst:1 ~port:"c" "x"))));
   check_int "no delivery to dead node" 0 !got
 
+(* A fiber that survives its node's crash by catching [Killed] must not
+   speak for the node: not while it is down, nor after a restart (the
+   fiber belongs to the old incarnation).  A fresh fiber on the
+   restarted node does get through. *)
+let net_dead_sender_drops () =
+  List.iter
+    (fun restart ->
+      let got = ref [] in
+      let eng = Engine.create ~num_nodes:2 () in
+      let net = Net.create eng in
+      Net.register net ~node:1 ~port:"z" (fun ~src:_ p -> got := p :: !got);
+      ignore
+        (Engine.spawn eng ~node:0 (fun () ->
+             try Engine.sleep 1.0
+             with Engine.Killed -> Net.send net ~src:0 ~dst:1 ~port:"z" "zombie"));
+      Engine.run ~until:0.1 eng;
+      Engine.crash_node eng 0;
+      if restart then begin
+        Engine.restart_node eng 0;
+        ignore
+          (Engine.spawn eng ~node:0 (fun () ->
+               Engine.sleep 2.0;
+               Net.send net ~src:0 ~dst:1 ~port:"z" "fresh"))
+      end;
+      Engine.run ~until:5.0 eng;
+      Alcotest.(check (list string))
+        (if restart then "only the new incarnation speaks" else "dead node silent")
+        (if restart then [ "fresh" ] else [])
+        !got)
+    [ false; true ]
+
 let timer_after_and_every () =
   let fired = ref 0 and periodic_count = ref 0 in
   let eng = Engine.create ~num_nodes:1 () in
@@ -422,6 +453,8 @@ let suite =
     Alcotest.test_case "net partition" `Quick net_partition_drops;
     Alcotest.test_case "net FIFO per pair" `Quick net_fifo_per_pair;
     Alcotest.test_case "net drops to dead node" `Quick net_crashed_node_drops;
+    Alcotest.test_case "net drops sends from dead or stale fibers" `Quick
+      net_dead_sender_drops;
     Alcotest.test_case "timers" `Quick timer_after_and_every;
     Alcotest.test_case "rpc roundtrip" `Quick rpc_roundtrip;
     Alcotest.test_case "rpc timeout" `Quick rpc_timeout;
